@@ -27,7 +27,6 @@ from .qcore import (
     tensor,
 )
 from .cluster import (
-    EncodingMap,
     IDEAL_PREP,
     PreparationParams,
     WitnessReport,
@@ -67,7 +66,6 @@ from .tomo import (
     reduced_fidelities,
 )
 from .mbqc import (
-    Lin3State,
     RotationNoise,
     RotationRequest,
     RotationResult,

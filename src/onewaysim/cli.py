@@ -15,9 +15,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -25,42 +25,58 @@ from . import cluster, mbqc, measure, noise, qcore, timing, tomo
 
 SCENARIOS = ("witness", "lifetime", "tomography", "rotate", "sweep", "budget")
 
+#: Most points a lifetime grid may have (t_max / t_step + 1).
+MAX_LIFETIME_POINTS = 100_000
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration (exit code 2)."""
 
 
+def _opt(default, **meta):
+    """A ScenarioConfig field with parser metadata: ``help``, ``choices``,
+    ``angle`` (accepts pi forms) and ``noise`` (allowed in a noise file)."""
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ScenarioConfig:
-    """Flat configuration; every key can come from flags or a key=value file."""
+    """Flat configuration; every key can come from flags or a key=value file.
+
+    The flags, the config-file keys and their parsing are all derived from
+    these fields: ``--name-with-dashes`` per field, a store-true switch for a
+    bool (``--x/--no-x`` when it defaults to True).
+    """
 
     scenario: str = ""
-    alpha: float = 0.0
-    beta: float = 0.0
+    alpha: float = _opt(0.0, angle=True)
+    beta: float = _opt(0.0, angle=True)
     shots: int = 0
     seed: int = 0
     out: Optional[str] = None
-    format: Optional[str] = None  # None = scenario default
+    format: Optional[str] = _opt(None, choices=("json", "csv"))  # None = csv for tables, else json
     verify: bool = False
     noise_file: Optional[str] = None
-    tables_in: Optional[str] = None
-    tables_out: Optional[str] = None
+    tables_in: Optional[str] = _opt(
+        None, help="reconstruct from count tables (JSON lines) instead of sampling")
+    tables_out: Optional[str] = _opt(
+        None, help="also write the sampled count tables as JSON lines")
     # preparation
-    theta: float = 0.0
-    imbalance: float = 1.0
-    spatial_white_noise: float = 0.0
-    ideal: bool = False
-    noiseless: bool = False
-    calibrated: bool = False
+    theta: float = _opt(0.0, angle=True, noise=True)
+    imbalance: float = _opt(1.0, noise=True)
+    spatial_white_noise: float = _opt(0.0, noise=True)
+    ideal: bool = _opt(False, help="ideal preparation (the default)")
+    noiseless: bool = _opt(False, help="alias of --ideal")
+    calibrated: bool = _opt(False, help="use the calibrated noise model")
     # storage noise
-    tau: Optional[float] = None
-    osc_amp: float = 0.0
-    osc_freq: float = 0.0
-    envelope: str = "gaussian"
-    storage_time: float = 0.0
+    tau: Optional[float] = _opt(None, noise=True)
+    osc_amp: float = _opt(0.0, noise=True)
+    osc_freq: float = _opt(0.0, noise=True)
+    envelope: str = _opt("gaussian", choices=("gaussian", "exponential"), noise=True)
+    storage_time: float = _opt(0.0, noise=True)
     # rotation / sweep
     feedforward: bool = True
-    mode: str = "rz"
+    mode: str = _opt("rz", choices=mbqc.SWEEP_MODES)
     per_branch: bool = False
     # lifetime grid and calibration targets
     t_max: float = 25.0
@@ -75,17 +91,6 @@ class ScenarioConfig:
     signal_processing: float = 0.11
     storage_before_first_readout: float = 2.27
     coherence_time: float = 14.27
-
-
-_ANGLE_KEYS = {"alpha", "beta", "theta"}
-_DEFAULT_FORMATS = {
-    "witness": "json",
-    "lifetime": "csv",
-    "tomography": "json",
-    "rotate": "json",
-    "sweep": "csv",
-    "budget": "json",
-}
 
 
 def parse_angle(text: str) -> float:
@@ -110,50 +115,59 @@ def parse_angle(text: str) -> float:
                 raise ValueError
             den = float(tail[1:])
         return num * math.pi / den
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse angle {text!r}") from exc
 
 
-def _coerce(key: str, raw, kind) -> object:
-    if raw is None:
-        return None
+def _kind(f, hints: dict):
+    """Parser of a field's text: bool, int, float, str or parse_angle."""
+    if f.metadata.get("angle"):
+        return parse_angle
+    hint = hints[f.name]
+    return (get_args(hint) or (hint,))[0]  # Optional[T] -> T
+
+
+_FIELDS = fields(ScenarioConfig)
+_HINTS = get_type_hints(ScenarioConfig)
+_FIELD_KINDS = {f.name: _kind(f, _HINTS) for f in _FIELDS}
+_CHOICES = {f.name: f.metadata["choices"] for f in _FIELDS if "choices" in f.metadata}
+_NOISE_FILE_KEYS = {f.name for f in _FIELDS if f.metadata.get("noise")}
+
+
+def _coerce(key: str, raw) -> object:
+    """Value of field ``key`` from flag or config-file text (a bool from a switch)."""
+    kind = _FIELD_KINDS[key]
     if kind is bool:
         if isinstance(raw, bool):
             return raw
-        text = str(raw).strip().lower()
+        text = raw.strip().lower()
         if text in ("1", "true", "yes", "on"):
             return True
         if text in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"cannot parse boolean for {key}: {raw!r}")
-    if kind is int:
-        try:
-            return int(str(raw))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse integer for {key}: {raw!r}") from exc
-    if kind is float or kind == Optional[float]:
-        if key in _ANGLE_KEYS:
-            return parse_angle(str(raw))
-        try:
-            return float(str(raw))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse number for {key}: {raw!r}") from exc
-    return str(raw)
+    try:
+        value = kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {key}: {raw!r}") from exc
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    choices = _CHOICES.get(key)
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
-_FIELD_KINDS = {
-    "scenario": str, "alpha": float, "beta": float, "shots": int, "seed": int,
-    "out": str, "format": str, "verify": bool, "noise_file": str,
-    "tables_in": str, "tables_out": str,
-    "theta": float, "imbalance": float, "spatial_white_noise": float,
-    "ideal": bool, "noiseless": bool, "calibrated": bool,
-    "tau": float, "osc_amp": float, "osc_freq": float, "envelope": str,
-    "storage_time": float, "feedforward": bool, "mode": str, "per_branch": bool,
-    "t_max": float, "t_step": float,
-    "target_t1": float, "target_f1": float, "target_t2": float, "target_f2": float,
-    "eom_response": float, "optical_propagation": float, "signal_processing": float,
-    "storage_before_first_readout": float, "coherence_time": float,
-}
+def _flag_kwargs(f) -> dict:
+    kwargs = {"dest": f.name, "default": None, "help": f.metadata.get("help")}
+    if _FIELD_KINDS[f.name] is bool:
+        kwargs["action"] = argparse.BooleanOptionalAction if f.default else "store_true"
+    else:
+        kwargs["choices"] = _CHOICES.get(f.name)
+    return kwargs
+
+
+_FLAGS = tuple(("--" + f.name.replace("_", "-"), _flag_kwargs(f)) for f in _FIELDS)
 
 
 def read_key_value_file(path: str) -> dict:
@@ -161,7 +175,7 @@ def read_key_value_file(path: str) -> dict:
     data = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -182,78 +196,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("scenario_pos", nargs="?", metavar="SCENARIO",
                         help=f"one of {', '.join(SCENARIOS)}")
-    parser.add_argument("--scenario", dest="scenario")
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--alpha", type=parse_angle)
-    parser.add_argument("--beta", type=parse_angle)
-    parser.add_argument("--theta", type=parse_angle)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("json", "csv"))
-    parser.add_argument("--verify", action="store_true", default=None)
-    parser.add_argument("--noise-file", dest="noise_file")
-    parser.add_argument("--tables-in", dest="tables_in",
-                        help="reconstruct from count tables (JSON lines) instead of sampling")
-    parser.add_argument("--tables-out", dest="tables_out",
-                        help="also write the sampled count tables as JSON lines")
-    parser.add_argument("--imbalance", type=float)
-    parser.add_argument("--spatial-white-noise", dest="spatial_white_noise", type=float)
-    parser.add_argument("--ideal", action="store_true", default=None,
-                        help="ideal preparation (the default)")
-    parser.add_argument("--noiseless", action="store_true", default=None,
-                        help="alias of --ideal")
-    parser.add_argument("--calibrated", action="store_true", default=None,
-                        help="use the calibrated noise model")
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--osc-amp", dest="osc_amp", type=float)
-    parser.add_argument("--osc-freq", dest="osc_freq", type=float)
-    parser.add_argument("--envelope", choices=("gaussian", "exponential"))
-    parser.add_argument("--storage-time", dest="storage_time", type=float)
-    parser.add_argument("--feedforward", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--mode", choices=mbqc.SWEEP_MODES)
-    parser.add_argument("--per-branch", dest="per_branch", action="store_true", default=None)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--t-step", dest="t_step", type=float)
-    parser.add_argument("--target-t1", dest="target_t1", type=float)
-    parser.add_argument("--target-f1", dest="target_f1", type=float)
-    parser.add_argument("--target-t2", dest="target_t2", type=float)
-    parser.add_argument("--target-f2", dest="target_f2", type=float)
-    parser.add_argument("--eom-response", dest="eom_response", type=float)
-    parser.add_argument("--optical-propagation", dest="optical_propagation", type=float)
-    parser.add_argument("--signal-processing", dest="signal_processing", type=float)
-    parser.add_argument("--storage-before-first-readout",
-                        dest="storage_before_first_readout", type=float)
-    parser.add_argument("--coherence-time", dest="coherence_time", type=float)
+    for flag, kwargs in _FLAGS:
+        parser.add_argument(flag, **kwargs)
     return parser
+
+
+def _apply_file(config: ScenarioConfig, path: str, allowed, label: str) -> None:
+    for key, raw in read_key_value_file(path).items():
+        if key not in allowed:
+            raise ConfigError(f"unknown {label} key {key!r}")
+        setattr(config, key, _coerce(key, raw))
 
 
 def parse_args(argv=None) -> ScenarioConfig:
     """Merge defaults, config file, and flags (in increasing precedence)."""
     args = build_parser().parse_args(argv)
     config = ScenarioConfig()
-    valid_keys = {f.name for f in fields(ScenarioConfig)}
-
     if args.config:
-        for key, raw in read_key_value_file(args.config).items():
-            if key not in valid_keys:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(config, key, _coerce(key, raw, _FIELD_KINDS[key]))
-
-    if args.noise_file is None and config.noise_file:
-        args.noise_file = config.noise_file
-    if args.noise_file:
-        allowed = {"theta", "imbalance", "spatial_white_noise", "tau",
-                   "osc_amp", "osc_freq", "envelope", "storage_time"}
-        for key, raw in read_key_value_file(args.noise_file).items():
-            if key not in allowed:
-                raise ConfigError(f"unknown noise-file key {key!r}")
-            setattr(config, key, _coerce(key, raw, _FIELD_KINDS[key]))
-        config.noise_file = args.noise_file
-
-    for key in valid_keys:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
+        _apply_file(config, args.config, _FIELD_KINDS, "config")
+    noise_file = config.noise_file if args.noise_file is None else args.noise_file
+    if noise_file:
+        _apply_file(config, noise_file, _NOISE_FILE_KEYS, "noise-file")
+    for key in _FIELD_KINDS:
+        raw = getattr(args, key)
+        if raw is not None:
+            setattr(config, key, _coerce(key, raw))
     if args.scenario_pos is not None:
         config.scenario = args.scenario_pos
 
@@ -261,10 +229,6 @@ def parse_args(argv=None) -> ScenarioConfig:
         raise ConfigError(
             f"scenario must be one of {', '.join(SCENARIOS)}, got {config.scenario!r}"
         )
-    if config.format is not None and config.format not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {config.format!r}")
-    if config.mode not in mbqc.SWEEP_MODES:
-        raise ConfigError(f"mode must be one of {mbqc.SWEEP_MODES}, got {config.mode!r}")
     if config.shots < 0:
         raise ConfigError(f"shots must be >= 0, got {config.shots}")
     if config.seed < 0:
@@ -275,6 +239,8 @@ def parse_args(argv=None) -> ScenarioConfig:
 
 
 def _calibration_targets(config: ScenarioConfig) -> dict:
+    if config.target_t1 == config.target_t2:
+        raise ConfigError(f"calibration target times must differ, both are {config.target_t1}")
     return {config.target_t1: config.target_f1, config.target_t2: config.target_f2}
 
 
@@ -327,20 +293,37 @@ def _run_lifetime(config: ScenarioConfig):
         raise ConfigError("lifetime needs storage noise: pass --calibrated or --tau")
     if config.t_step <= 0 or config.t_max < 0:
         raise ConfigError("need t_step > 0 and t_max >= 0")
-    steps = int(math.floor(config.t_max / config.t_step + 1e-9))
-    times = [i * config.t_step for i in range(steps + 1)]
+    steps = config.t_max / config.t_step + 1e-9
+    if not steps < MAX_LIFETIME_POINTS:
+        raise ConfigError(f"lifetime grid t_max / t_step = {steps:.6g} exceeds the limit "
+                          f"of {MAX_LIFETIME_POINTS} points")
+    times = [i * config.t_step for i in range(int(steps) + 1)]
     points = noise.lifetime_curve(times, prep, storage)
     return ["t_us", "fidelity_bound"], [[p.t, p.fidelity_bound] for p in points]
 
 
+def _read_tables(path: str) -> list:
+    """Count tables from a JSON-lines file; any malformed line is a config error."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read tables file {path}: {exc}") from exc
+    tables = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                tables.append(measure.CountTable.from_json(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad count table: {exc!r}") from exc
+    if not tables:
+        raise ConfigError(f"tables file {path} holds no count tables")
+    return tables
+
+
 def _run_tomography(config: ScenarioConfig):
     if config.tables_in:
-        try:
-            lines = Path(config.tables_in).read_text().splitlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read tables file {config.tables_in}: {exc}") from exc
-        tables = [measure.CountTable.from_json(line) for line in lines if line.strip()]
-        shots = tables[0].shots if tables else 0
+        tables = _read_tables(config.tables_in)
+        shots = tables[0].shots
     else:
         rho = _state_for(config)
         shots = config.shots if config.shots >= 1 else 1000
@@ -349,7 +332,10 @@ def _run_tomography(config: ScenarioConfig):
     if config.tables_out:
         text = "\n".join(t.to_json() for t in tables) + "\n"
         Path(config.tables_out).write_text(text)
-    report = tomo.reconstruct(tables)
+    try:
+        report = tomo.reconstruct(tables)
+    except tomo.IncompleteSettingsError as exc:
+        raise ConfigError(str(exc)) from exc
     payload = tomo.report_to_json_dict(report)
     payload["shots_per_setting"] = shots
     payload["n_settings"] = len(tables)
@@ -361,12 +347,8 @@ def _run_tomography(config: ScenarioConfig):
 def _rotation_request(config: ScenarioConfig) -> mbqc.RotationRequest:
     prep, storage, t = _resolve_model(config)
     bundle = None
-    if storage is not None:
+    if storage is not None or prep != cluster.IDEAL_PREP:
         bundle = mbqc.RotationNoise(prep=prep, storage=storage, storage_time=t)
-    elif (config.imbalance != 1.0 or config.spatial_white_noise != 0.0 or config.theta != 0.0):
-        bundle = mbqc.RotationNoise(
-            prep=prep, storage=noise.StorageNoiseParams(tau=1.0), storage_time=0.0
-        )
     return mbqc.RotationRequest(
         alpha=config.alpha, beta=config.beta,
         feedforward_enabled=config.feedforward,
@@ -458,34 +440,38 @@ def emit_figure_data(payload, fmt: str, out: Optional[str]) -> list:
     return [path]
 
 
+def _require(ok: bool, message: str) -> None:
+    """Raise AssertionError (exit code 4) unless ``ok``; unlike assert, also under -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def verify_invariants(scenario: str) -> None:
     """Fast invariant suite run before emitting when --verify is set."""
     ideal = cluster.evaluate_witness(cluster.prepare_cluster(cluster.IDEAL_PREP))
-    assert abs(ideal.expectation + 1.0) < 1e-10, "ideal witness expectation must be -1"
-    assert abs(ideal.fidelity_lower_bound - 1.0) < 1e-10, "ideal witness bound must be 1"
+    _require(abs(ideal.expectation + 1.0) < 1e-10, "ideal witness expectation must be -1")
+    _require(abs(ideal.fidelity_lower_bound - 1.0) < 1e-10, "ideal witness bound must be 1")
     for term in cluster.witness_stabilizer_terms():
         val = qcore.expectation(cluster.cluster_statevector(), term)
-        assert abs(val - 1.0) < 1e-10, "witness term must stabilize the cluster"
+        _require(abs(val - 1.0) < 1e-10, "witness term must stabilize the cluster")
     if scenario in ("lifetime", "witness", "tomography"):
         params = noise.StorageNoiseParams(tau=5.0, osc_amp=0.3, osc_freq=2.0)
         for t in np.linspace(0.0, 40.0, 81):
             g = noise.coherence_retention(float(t), params)
-            assert 0.0 <= g <= 1.0, "retention must stay in [0, 1]"
+            _require(0.0 <= g <= 1.0, "retention must stay in [0, 1]")
         mixed = qcore.maximally_mixed(4)
         out = noise.apply_storage(mixed, 3.0, params)
-        assert np.abs(out.entries - mixed.entries).max() < 1e-10, "storage must be unital"
+        _require(np.abs(out.entries - mixed.entries).max() < 1e-10, "storage must be unital")
     if scenario in ("rotate", "sweep"):
         for alpha in (0.0, math.pi / 3, math.pi):
             for beta in (0.0, math.pi / 2):
                 ok, residuals = mbqc.branch_verify(alpha, beta)
-                assert ok, f"branch identity failed: {residuals}"
+                _require(ok, f"branch identity failed: {residuals}")
     if scenario == "budget":
         base = timing.REFERENCE_BUDGET
-        longer = timing.LatencyBudget(
-            base.eom_response, base.optical_propagation, base.signal_processing,
-            base.storage_before_first_readout, base.coherence_time + 5.0)
-        assert timing.max_steps(longer) >= timing.max_steps(base), \
-            "max_steps must grow with coherence time"
+        longer = replace(base, coherence_time=base.coherence_time + 5.0)
+        _require(timing.max_steps(longer) >= timing.max_steps(base),
+                 "max_steps must grow with coherence time")
 
 
 def run(config: ScenarioConfig) -> int:
@@ -496,7 +482,7 @@ def run(config: ScenarioConfig) -> int:
     if config.verify:
         verify_invariants(config.scenario)
     payload = runner(config)
-    fmt = config.format or _DEFAULT_FORMATS[config.scenario]
+    fmt = config.format or ("csv" if isinstance(payload, tuple) else "json")
     emit_figure_data(payload, fmt, config.out)
     return 0
 

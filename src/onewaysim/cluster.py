@@ -28,31 +28,6 @@ from .qcore import (
 
 
 @dataclass(frozen=True)
-class EncodingMap:
-    """Fixed physical-label <-> logical-bit association, one pair per qubit."""
-
-    polarization: tuple = ("H", "V")  # qubit 1
-    photon_spatial: tuple = ("l", "r")  # qubit 2
-    memory_branch: tuple = ("b0", "b+2")  # qubit 3
-    memory_spatial: tuple = ("down", "up")  # qubit 4
-
-    def __post_init__(self):
-        for pair in (self.polarization, self.photon_spatial, self.memory_branch, self.memory_spatial):
-            if len(pair) != 2 or pair[0] == pair[1]:
-                raise ValueError(f"each degree needs two distinct labels, got {pair}")
-
-    def physical_labels(self, bits: str) -> tuple:
-        """Physical labels for a 4-bit logical string, e.g. "0101" -> (H, r, b0, up)."""
-        if len(bits) != 4 or any(b not in "01" for b in bits):
-            raise ValueError(f"need a 4-bit string, got {bits!r}")
-        degrees = (self.polarization, self.photon_spatial, self.memory_branch, self.memory_spatial)
-        return tuple(deg[int(b)] for deg, b in zip(degrees, bits))
-
-
-DEFAULT_ENCODING = EncodingMap()
-
-
-@dataclass(frozen=True)
 class PreparationParams:
     """Source-quality knobs for state preparation.
 
@@ -90,13 +65,20 @@ CONDITIONAL_PHASE = UnitaryOperator(2, np.diag([1, 1, 1, -1]).astype(np.complex1
 WITNESS_PAULI_STRINGS = ("XIXZ", "XZXI", "IZIZ", "IXZX", "ZXIX", "ZIZI")
 
 
-def hyper_statevector(theta: float = 0.0, imbalance: float = 1.0) -> StateVector:
-    """Pure hyperentangled state (no white noise): pair (1,3) x pair (2,4)."""
+def _pair_kets(theta: float, imbalance: float):
+    """Pure pair states: polarization-like (1,3) with amplitude ratio ``imbalance``,
+    spatial (2,4) with phase ``theta``."""
     r = imbalance
     pol = StateVector(2, np.array([1, 0, 0, r], dtype=np.complex128) / np.sqrt(1 + r * r))
     spa = StateVector(
         2, np.array([1, 0, 0, np.exp(1j * theta)], dtype=np.complex128) / np.sqrt(2.0)
     )
+    return pol, spa
+
+
+def hyper_statevector(theta: float = 0.0, imbalance: float = 1.0) -> StateVector:
+    """Pure hyperentangled state (no white noise): pair (1,3) x pair (2,4)."""
+    pol, spa = _pair_kets(theta, imbalance)
     joint = tensor([pol, spa])  # ordering (1, 3, 2, 4)
     return permute_qubits(joint, (1, 3, 2, 4))
 
@@ -113,12 +95,7 @@ def prepare_hyper(params: PreparationParams) -> DensityMatrix:
     the spatial pair (2,4) is mixed with white noise of weight
     ``spatial_white_noise``.
     """
-    r = params.imbalance
-    pol = StateVector(2, np.array([1, 0, 0, r], dtype=np.complex128) / np.sqrt(1 + r * r))
-    spa = StateVector(
-        2,
-        np.array([1, 0, 0, np.exp(1j * params.theta)], dtype=np.complex128) / np.sqrt(2.0),
-    )
+    pol, spa = _pair_kets(params.theta, params.imbalance)
     p_w = params.spatial_white_noise
     spa_rho = (1.0 - p_w) * density(spa).entries + p_w * np.eye(4) / 4.0
     joint = tensor([density(pol), DensityMatrix(2, spa_rho)])  # ordering (1, 3, 2, 4)

@@ -16,8 +16,8 @@ lands on the target R_x(-beta) R_z(-alpha) |+>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .qcore import (
     permute_qubits,
     phase_aligned_distance,
     plus_ket,
+    project,
+    rho_to_entry_list,
     rotation_gate,
     tensor,
 )
@@ -48,27 +50,14 @@ POSTSELECT_OUTCOME = 0
 
 
 @dataclass(frozen=True)
-class Lin3State:
-    """Three-qubit linear cluster obtained from the 4-qubit resource."""
-
-    state: Union[StateVector, DensityMatrix]
-    postselect_prob: float
-
-    def __post_init__(self):
-        if not 0.0 < self.postselect_prob <= 1.0 + 1e-12:
-            raise ValueError(f"postselect_prob must be in (0, 1], got {self.postselect_prob}")
-        if self.state.n_qubits != 3:
-            raise ValueError("lin3 state must live on 3 qubits")
-
-
-@dataclass(frozen=True)
 class RotationNoise:
     """Noise bundle for a rotation run: preparation imperfections plus
-    storage dephasing of the memory qubits for ``storage_time`` microseconds."""
+    storage dephasing of the memory qubits for ``storage_time`` microseconds
+    (none when ``storage`` is None)."""
 
     prep: PreparationParams
-    storage: StorageNoiseParams
-    storage_time: float
+    storage: Optional[StorageNoiseParams] = None
+    storage_time: float = 0.0
 
     def __post_init__(self):
         if self.storage_time < 0:
@@ -125,36 +114,14 @@ class FeedforwardTrace:
     z_power: int
     x_power: int
 
-    def events(self) -> tuple:
-        return (
-            ("measure", 2, self.s2),
-            ("basis", 3, self.basis_angle_q3),
-            ("measure", 3, self.s3),
-            ("correct", 4, f"Z^{self.z_power} X^{self.x_power}"),
-        )
 
-
-def _project_drop_first(state, bra: np.ndarray):
-    """Project the first qubit onto <bra| and drop it; returns (state', prob)."""
-    n = state.n_qubits
-    rest = 2 ** (n - 1)
-    if isinstance(state, StateVector):
-        block = state.amplitudes.reshape(2, rest)
-        vec = bra @ block
-        prob = float(np.real(np.vdot(vec, vec)))
-        return vec, prob
-    block = state.entries.reshape(2, rest, 2, rest)
-    mat = np.einsum("a,abcd,c->bd", bra, block, bra.conj())
-    prob = float(np.real(np.trace(mat)))
-    return mat, prob
-
-
-def to_lin3(cluster, postselect_outcome: int = POSTSELECT_OUTCOME) -> Lin3State:
+def to_lin3(cluster, postselect_outcome: int = POSTSELECT_OUTCOME):
     """Reduce the 4-qubit cluster to the 3-qubit linear cluster.
 
     Reorders the register to LIN3_ORDER, applies H on the new outer qubits
     (1, 4) and removes qubit 1 by postselecting the chosen computational
-    outcome.  Works on pure states and density matrices alike.
+    outcome.  Works on pure states and density matrices alike; returns the
+    3-qubit state and the postselection probability.
     """
     if cluster.n_qubits != 4:
         raise ValueError("lin3 reduction starts from a 4-qubit state")
@@ -164,14 +131,13 @@ def to_lin3(cluster, postselect_outcome: int = POSTSELECT_OUTCOME) -> Lin3State:
     s = apply_unitary(s, tensor([HADAMARD, HADAMARD]), (1, 4))
     bra = np.zeros(2, dtype=np.complex128)
     bra[postselect_outcome] = 1.0
-    reduced, prob = _project_drop_first(s, bra)
+    values = s.amplitudes if isinstance(s, StateVector) else s.entries
+    reduced, prob = project(values, 4, 1, bra)
     if prob < 1e-12:
         raise ValueError("postselection has zero probability")
     if isinstance(s, StateVector):
-        out = StateVector(3, reduced / math.sqrt(prob))
-    else:
-        out = DensityMatrix(3, reduced / prob)
-    return Lin3State(state=out, postselect_prob=prob)
+        return StateVector(3, reduced / math.sqrt(prob)), prob
+    return DensityMatrix(3, reduced / prob), prob
 
 
 def rotation_target(alpha: float, beta: float) -> StateVector:
@@ -189,13 +155,13 @@ def _enumerate_branches(lin3: DensityMatrix, alpha: float, beta: float, feedforw
     """Exact (probability, pre-correction state, corrected state) per branch."""
     branches = {}
     for s2 in (0, 1):
-        mid, p2 = _project_drop_first_dm(lin3.entries, 3, _equatorial_bra(alpha, s2))
+        mid, p2 = project(lin3.entries, 3, 1, _equatorial_bra(alpha, s2))
         if p2 < 1e-12:
             continue
         mid = mid / p2
         beta_eff = ((-1) ** s2) * beta if feedforward else beta
         for s3 in (0, 1):
-            out, p3 = _project_drop_first_dm(mid, 2, _equatorial_bra(beta_eff, s3))
+            out, p3 = project(mid, 2, 1, _equatorial_bra(beta_eff, s3))
             prob = p2 * p3
             if prob < 1e-12:
                 continue
@@ -211,17 +177,12 @@ def _enumerate_branches(lin3: DensityMatrix, alpha: float, beta: float, feedforw
     return branches
 
 
-def _project_drop_first_dm(entries: np.ndarray, n: int, bra: np.ndarray):
-    rest = 2 ** (n - 1)
-    block = entries.reshape(2, rest, 2, rest)
-    mat = np.einsum("a,abcd,c->bd", bra, block, bra.conj())
-    return mat, float(np.real(np.trace(mat)))
-
-
 def _cluster_for_request(req: RotationRequest) -> DensityMatrix:
     if req.noise is None:
         return prepare_cluster(PreparationParams())
     rho = prepare_cluster(req.noise.prep)
+    if req.noise.storage is None:
+        return rho
     return apply_storage(rho, req.noise.storage_time, req.noise.storage)
 
 
@@ -235,8 +196,8 @@ def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> Ro
     the empirical frequencies.
     """
     rho = _cluster_for_request(req)
-    lin3 = to_lin3(rho, POSTSELECT_OUTCOME)
-    branches = _enumerate_branches(lin3.state, req.alpha, req.beta, req.feedforward_enabled)
+    lin3, _ = to_lin3(rho, POSTSELECT_OUTCOME)
+    branches = _enumerate_branches(lin3, req.alpha, req.beta, req.feedforward_enabled)
 
     keys = sorted(branches.keys())
     weights = np.array([branches[k][0] for k in keys])
@@ -261,26 +222,22 @@ def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> Ro
     )
 
 
+def _sample_first(gen, entries: np.ndarray, n: int, angle: float):
+    """Born-sample qubit 1 in B(angle); (outcome, normalised remaining state)."""
+    branches = [project(entries, n, 1, _equatorial_bra(angle, s)) for s in (0, 1)]
+    (_, p0), (_, p1) = branches
+    outcome = 0 if gen.random() < p0 / (p0 + p1) else 1
+    mat, p = branches[outcome]
+    return outcome, mat / p
+
+
 def single_shot_trace(req: RotationRequest, rng) -> FeedforwardTrace:
     """One sequential shot through the protocol, recording the event order."""
     gen = _as_generator(rng)
-    rho = _cluster_for_request(req)
-    lin3 = to_lin3(rho, POSTSELECT_OUTCOME).state
-
-    bra_probs = []
-    for s2 in (0, 1):
-        _, p = _project_drop_first_dm(lin3.entries, 3, _equatorial_bra(req.alpha, s2))
-        bra_probs.append(p)
-    s2 = 0 if gen.random() < bra_probs[0] / sum(bra_probs) else 1
-    mid, p2 = _project_drop_first_dm(lin3.entries, 3, _equatorial_bra(req.alpha, s2))
-    mid /= p2
-
+    lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
+    s2, mid = _sample_first(gen, lin3.entries, 3, req.alpha)
     beta_eff = ((-1) ** s2) * req.beta if req.feedforward_enabled else req.beta
-    probs3 = []
-    for s3 in (0, 1):
-        _, p = _project_drop_first_dm(mid, 2, _equatorial_bra(beta_eff, s3))
-        probs3.append(p)
-    s3 = 0 if gen.random() < probs3[0] / sum(probs3) else 1
+    s3, _ = _sample_first(gen, mid, 2, beta_eff)
 
     z_pow = s2 if req.feedforward_enabled else 0
     x_pow = s3 if req.feedforward_enabled else 0
@@ -297,13 +254,12 @@ def branch_verify(alpha: float, beta: float, tol: float = 1e-9):
 
     up to a global phase.  Returns (all_pass, {(s2, s3): residual}).
     """
-    lin3 = to_lin3(cluster_statevector(), POSTSELECT_OUTCOME).state
-    amps = lin3.amplitudes
+    lin3, _ = to_lin3(cluster_statevector(), POSTSELECT_OUTCOME)
     residuals = {}
     for s2 in (0, 1):
-        v2 = _equatorial_bra(alpha, s2) @ amps.reshape(2, 4)
+        v2, _ = project(lin3.amplitudes, 3, 1, _equatorial_bra(alpha, s2))
         for s3 in (0, 1):
-            v3 = _equatorial_bra(beta, s3) @ v2.reshape(2, 2)
+            v3, _ = project(v2, 2, 1, _equatorial_bra(beta, s3))
             norm = np.linalg.norm(v3)
             measured = StateVector(1, v3 / norm)
             expected = _branch_formula(alpha, beta, s2, s3)
@@ -312,8 +268,7 @@ def branch_verify(alpha: float, beta: float, tol: float = 1e-9):
 
 
 def _branch_formula(alpha: float, beta: float, s2: int, s3: int) -> StateVector:
-    out = apply_unitary(plus_ket(), rotation_gate("z", -alpha), (1,))
-    out = apply_unitary(out, rotation_gate("x", ((-1) ** (s2 + 1)) * beta), (1,))
+    out = rotation_target(alpha, ((-1) ** s2) * beta)
     if s2:
         out = apply_unitary(out, PAULI_Z, (1,))
     if s3:
@@ -350,13 +305,9 @@ def sweep(mode: str, template: RotationRequest, step: float = math.pi / 8,
     for i in range(count):
         angle = i * step
         if mode == "rx":
-            req_i = RotationRequest(alpha=math.pi / 2, beta=angle,
-                                    feedforward_enabled=template.feedforward_enabled,
-                                    shots=template.shots, noise=template.noise)
+            req_i = replace(template, alpha=math.pi / 2, beta=angle)
         else:
-            req_i = RotationRequest(alpha=angle, beta=0.0,
-                                    feedforward_enabled=template.feedforward_enabled,
-                                    shots=template.shots, noise=template.noise)
+            req_i = replace(template, alpha=angle, beta=0.0)
         result = run_rotation(req_i, rng)
         points.append(SweepPoint(angle_rad=angle, fidelity=result.fidelity,
                                  mode=mode, noise_tag=noise_tag, result=result))
@@ -365,19 +316,13 @@ def sweep(mode: str, template: RotationRequest, step: float = math.pi / 8,
 
 def result_to_json_dict(result: RotationResult) -> dict:
     """JSON form with the branch map keyed by the concatenated outcomes 's2s3'."""
-    branches = {}
-    for (s2, s3), b in sorted(result.branch_outputs.items()):
-        m = b.state.entries
-        branches[f"{s2}{s3}"] = {
-            "probability": b.probability,
-            "state": [[i, j, float(m[i, j].real), float(m[i, j].imag)]
-                      for i in range(2) for j in range(2)],
-        }
-    m = result.corrected_output.entries
+    branches = {
+        f"{s2}{s3}": {"probability": b.probability, "state": rho_to_entry_list(b.state)}
+        for (s2, s3), b in sorted(result.branch_outputs.items())
+    }
     return {
         "branches": branches,
-        "corrected_output": [[i, j, float(m[i, j].real), float(m[i, j].imag)]
-                             for i in range(2) for j in range(2)],
+        "corrected_output": rho_to_entry_list(result.corrected_output),
         "target": [[float(a.real), float(a.imag)] for a in result.target.amplitudes],
         "fidelity": result.fidelity,
     }

@@ -21,16 +21,11 @@ from .qcore import (
     ObservableOperator,
     StateVector,
     density,
+    project,
 )
 
 COMPUTATIONAL = "computational"
 EQUATORIAL = "equatorial"
-
-# Detection-chain efficiencies of the reference apparatus.  Recorded for
-# context only; no state evolution or count model consumes them.
-STOKES_DETECTION_EFFICIENCY = 0.25
-ANTI_STOKES_DETECTION_EFFICIENCY = 0.20
-MEMORY_READOUT_EFFICIENCY = 0.29
 
 _PAULI_ANGLES = {"X": 0.0, "Y": math.pi / 2.0}
 
@@ -136,6 +131,14 @@ class MeasurementSetting:
         return cls(tuple(MeasurementBasis.from_token(t) for t in tokens))
 
 
+def outcome_kets(setting: MeasurementSetting) -> np.ndarray:
+    """All 2^n outcome kets of a setting, row o = ket of bitstring o."""
+    rows = np.array([[1.0 + 0j]])
+    for b in setting.bases:
+        rows = np.kron(rows, np.vstack(basis_vectors(b)))
+    return rows
+
+
 def pauli_settings(n_qubits: int) -> list:
     """All 3^n Pauli-eigenbasis settings, the standard informationally complete set."""
     labels = ["X", "Y", "Z"]
@@ -167,27 +170,21 @@ class CountTable:
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected shots = {self.shots}")
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "setting": self.setting.to_tokens(),
             "shots": self.shots,
             "counts": {k: int(v) for k, v in sorted(self.counts.items())},
-        }
+        }, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CountTable":
+    def from_json(cls, text: str) -> "CountTable":
+        data = json.loads(text)
         return cls(
             setting=MeasurementSetting.from_tokens(data["setting"]),
             shots=int(data["shots"]),
             counts={k: int(v) for k, v in data["counts"].items()},
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountTable":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -236,32 +233,22 @@ def measure_qubit(state, qubit: int, basis: MeasurementBasis, rng) -> Measuremen
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
     kets = basis_vectors(basis)
-    if isinstance(state, StateVector):
-        block = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1)
-        branches = [v.conj() @ block for v in kets]
-        probs = [float(np.real(np.vdot(w, w))) for w in branches]
-    else:
-        t = state.entries.reshape((2,) * (2 * n))
-        t = np.moveaxis(t, (qubit - 1, n + qubit - 1), (0, 1))
-        block = t.reshape(2, 2, -1)  # (row bit, col bit, rest x rest)
-        branches = [np.einsum("a,abr,b->r", v.conj(), block, v) for v in kets]
-        rest = 2 ** (n - 1)
-        probs = [float(np.real(np.trace(w.reshape(rest, rest)))) for w in branches]
-    if probs[0] < 1e-12 and probs[1] < 1e-12:
+    pure = isinstance(state, StateVector)
+    values = state.amplitudes if pure else state.entries
+    branches = [project(values, n, qubit, v.conj()) for v in kets]
+    (_, p0), (_, p1) = branches
+    if p0 < 1e-12 and p1 < 1e-12:
         raise ValueError("both outcome probabilities underflow; state is degenerate here")
-    total = probs[0] + probs[1]
     gen = _as_generator(rng)
-    outcome = 0 if gen.random() < probs[0] / total else 1
-    p = probs[outcome]
+    outcome = 0 if gen.random() < p0 / (p0 + p1) else 1
+    reduced, p = branches[outcome]
     v = kets[outcome]
-    if isinstance(state, StateVector):
-        collapsed = np.einsum("a,r->ar", v, branches[outcome]) / math.sqrt(p)
+    if pure:
+        collapsed = np.einsum("a,r->ar", v, reduced) / math.sqrt(p)
         collapsed = np.moveaxis(collapsed.reshape((2,) * n), 0, qubit - 1).reshape(-1)
         post = StateVector(n, collapsed)
     else:
-        rest = 2 ** (n - 1)
-        mid = branches[outcome].reshape(rest, rest)
-        collapsed = np.einsum("a,rs,b->abrs", v, mid, v.conj()) / p
+        collapsed = np.einsum("a,rs,b->abrs", v, reduced, v.conj()) / p
         collapsed = collapsed.reshape((2, 2) + (2,) * (2 * (n - 1)))
         collapsed = np.moveaxis(collapsed, (0, 1), (qubit - 1, n + qubit - 1))
         post = DensityMatrix(n, collapsed.reshape(2**n, 2**n))
@@ -274,10 +261,7 @@ def setting_probabilities(rho, setting: MeasurementSetting) -> np.ndarray:
         raise ValueError("setting does not cover the register")
     if isinstance(rho, StateVector):
         rho = density(rho)
-    rows = np.array([[1.0 + 0j]])
-    for b in setting.bases:
-        v0, v1 = basis_vectors(b)
-        rows = np.kron(rows, np.vstack([v0.conj(), v1.conj()]))
+    rows = outcome_kets(setting).conj()
     probs = np.real(np.einsum("oi,ij,oj->o", rows, rho.entries, rows.conj()))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()

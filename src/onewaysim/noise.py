@@ -129,6 +129,11 @@ def lifetime_curve(times, prep: PreparationParams, noise: StorageNoiseParams) ->
     return points
 
 
+def _tau_for(t: float, g: float, envelope: str) -> float:
+    """Decay constant whose envelope retains ``g`` at storage time ``t``."""
+    return t / math.sqrt(-math.log(g)) if envelope == "gaussian" else -t / math.log(g)
+
+
 class CalibrationError(ValueError):
     """Raised when no parameters reach the targets; carries the best residual."""
 
@@ -139,17 +144,11 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibrated parameters and the achieved max target error.
-
-    Iterates as (prep, noise) so callers can unpack the parameter pair.
-    """
+    """Calibrated parameters and the achieved max target error."""
 
     prep: PreparationParams
     noise: StorageNoiseParams
     residual: float
-
-    def __iter__(self):
-        return iter((self.prep, self.noise))
 
 
 # Reduced-pair fidelity anchors fixing how preparation imperfection is split
@@ -273,8 +272,8 @@ def calibrate(
         if g1 is None or g1 <= 0.0 or g1 >= 1.0:
             raise CalibrationError("targets unreachable with ideal preparation",
                                    residual=float("inf"))
-        tau = t1 / math.sqrt(-math.log(g1)) if envelope == "gaussian" else -t1 / math.log(g1)
-        achieved = lifetime_curve([t1, t2], prep, StorageNoiseParams(tau=tau, envelope=envelope))
+        noise = StorageNoiseParams(tau=_tau_for(t1, g1, envelope), envelope=envelope)
+        achieved = lifetime_curve([t1, t2], prep, noise)
         residual = max(abs(p.fidelity_bound - f) for p, f in zip(achieved, (f1, f2)))
         raise CalibrationError("targets unreachable even with ideal preparation",
                                residual=residual)
@@ -302,11 +301,7 @@ def calibrate(
     prep = _prep_for_scale(scale, pol_anchor, spa_anchor)
     rho0 = prepare_cluster(prep)
     g1 = _solve_retention(rho0, f1)
-    if envelope == "gaussian":
-        tau = t1 / math.sqrt(-math.log(g1))
-    else:
-        tau = -t1 / math.log(g1)
-    noise = StorageNoiseParams(tau=tau, envelope=envelope)
+    noise = StorageNoiseParams(tau=_tau_for(t1, g1, envelope), envelope=envelope)
 
     achieved = lifetime_curve([t1, t2], prep, noise)
     residual = max(abs(p.fidelity_bound - f) for p, f in zip(achieved, (f1, f2)))
@@ -335,8 +330,7 @@ def _calibrate_single(target, envelope: str, residual_limit: float) -> Calibrati
     if g >= 1.0:
         noise = StorageNoiseParams(tau=UNCONSTRAINED_TAU, envelope=envelope)
     else:
-        tau = t / math.sqrt(-math.log(g)) if envelope == "gaussian" else -t / math.log(g)
-        noise = StorageNoiseParams(tau=tau, envelope=envelope)
+        noise = StorageNoiseParams(tau=_tau_for(t, g, envelope), envelope=envelope)
     achieved = lifetime_curve([t], prep, noise)[0].fidelity_bound
     residual = abs(achieved - f)
     if residual > residual_limit:

@@ -29,9 +29,7 @@ MAX_QUBITS = 8
 class Tolerances:
     """Numerical tolerances for the structural invariants of each type.
 
-    The defaults below are used by every constructor; pass an instance to the
-    ``validate=`` hooks or construct values through helper functions if a
-    different epsilon set is required.
+    Every constructor checks against ``DEFAULT_TOLERANCES``.
     """
 
     norm: float = 1e-12
@@ -56,6 +54,16 @@ def _check_register_size(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
+def _square_matrix(n_qubits: int, entries) -> np.ndarray:
+    """Read-only complex copy of ``entries``, checked to be 2^n x 2^n."""
+    _check_register_size(n_qubits)
+    m = _as_complex_array(entries)
+    d = 2**n_qubits
+    if m.shape != (d, d):
+        raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure n-qubit state: 2^n complex amplitudes with unit norm."""
@@ -75,18 +83,6 @@ class StateVector:
             raise ValueError(f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    @classmethod
-    def from_amplitudes(cls, values, normalize: bool = False) -> "StateVector":
-        arr = np.asarray(values, dtype=np.complex128)
-        n = int(round(np.log2(arr.size)))
-        if normalize:
-            arr = arr / np.linalg.norm(arr)
-        return cls(n, arr)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -96,11 +92,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_register_size(self.n_qubits)
-        m = _as_complex_array(self.entries)
-        d = 2**self.n_qubits
-        if m.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
+        m = _square_matrix(self.n_qubits, self.entries)
         if np.abs(m - m.conj().T).max() > DEFAULT_TOLERANCES.hermitian:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
@@ -124,18 +116,10 @@ class UnitaryOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_register_size(self.n_qubits)
-        m = _as_complex_array(self.entries)
-        d = 2**self.n_qubits
-        if m.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
-        if np.abs(m.conj().T @ m - np.eye(d)).max() > DEFAULT_TOLERANCES.unitary:
+        m = _square_matrix(self.n_qubits, self.entries)
+        if np.abs(m.conj().T @ m - np.eye(len(m))).max() > DEFAULT_TOLERANCES.unitary:
             raise ValueError("matrix is not unitary within tolerance")
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
     def dagger(self) -> "UnitaryOperator":
         return UnitaryOperator(self.n_qubits, self.entries.conj().T)
@@ -149,18 +133,10 @@ class ObservableOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_register_size(self.n_qubits)
-        m = _as_complex_array(self.entries)
-        d = 2**self.n_qubits
-        if m.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
+        m = _square_matrix(self.n_qubits, self.entries)
         if np.abs(m - m.conj().T).max() > DEFAULT_TOLERANCES.hermitian:
             raise ValueError("observable is not Hermitian within tolerance")
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +178,6 @@ _H = (_X + _Z) / np.sqrt(2.0)
 
 IDENTITY = UnitaryOperator(1, _I)
 PAULI_X = UnitaryOperator(1, _X)
-PAULI_Y = UnitaryOperator(1, _Y)
 PAULI_Z = UnitaryOperator(1, _Z)
 HADAMARD = UnitaryOperator(1, _H)
 
@@ -421,6 +396,29 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel, targets: Sequence[int]
         full = _embed_matrix(k, targets, n)
         out = out + full @ rho.entries @ full.conj().T
     return DensityMatrix(n, out)
+
+
+def project(values: np.ndarray, n: int, qubit: int, bra: np.ndarray):
+    """Project ``qubit`` of an n-qubit ket or density matrix onto ``<bra|`` and drop it.
+
+    Returns the unnormalised (n-1)-qubit ket or matrix and the outcome
+    probability.
+    """
+    rest = 2 ** (n - 1)
+    if values.ndim == 1:
+        block = np.moveaxis(values.reshape((2,) * n), qubit - 1, 0).reshape(2, rest)
+        vec = bra @ block
+        return vec, float(np.real(np.vdot(vec, vec)))
+    t = np.moveaxis(values.reshape((2,) * (2 * n)), (qubit - 1, n + qubit - 1), (0, n))
+    mat = np.einsum("a,abcd,c->bd", bra, t.reshape(2, rest, 2, rest), bra.conj())
+    return mat, float(np.real(np.trace(mat)))
+
+
+def rho_to_entry_list(rho: DensityMatrix) -> list:
+    """Flat (row, col, re, im) list of all matrix entries."""
+    m = rho.entries
+    d = m.shape[0]
+    return [[i, j, float(m[i, j].real), float(m[i, j].imag)] for i in range(d) for j in range(d)]
 
 
 def phase_aligned_distance(a: StateVector, b: StateVector) -> float:

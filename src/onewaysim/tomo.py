@@ -15,8 +15,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import CONDITIONAL_PHASE, cluster_statevector
-from .measure import CountTable, basis_vectors
-from .qcore import DensityMatrix, StateVector, apply_unitary, fidelity, partial_trace
+from .measure import CountTable, outcome_kets
+from .qcore import (
+    DensityMatrix,
+    StateVector,
+    apply_unitary,
+    fidelity,
+    partial_trace,
+    rho_to_entry_list,
+)
 
 
 class IncompleteSettingsError(ValueError):
@@ -58,19 +65,10 @@ class TomographyReport:
     ll_history: tuple
 
 
-def _outcome_kets(setting) -> np.ndarray:
-    """All 2^n outcome kets of a setting, row o = ket of bitstring o."""
-    rows = np.array([[1.0 + 0j]])
-    for b in setting.bases:
-        v0, v1 = basis_vectors(b)
-        rows = np.kron(rows, np.vstack([v0, v1]))
-    return rows
-
-
 def _check_informationally_complete(settings, dim: int) -> None:
     rows = []
     for setting in settings:
-        kets = _outcome_kets(setting)
+        kets = outcome_kets(setting)
         for v in kets:
             rows.append(np.outer(v, v.conj()).reshape(-1))
     design = np.array(rows)
@@ -99,7 +97,7 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
     kets = []
     counts = []
     for t in tables:
-        rows = _outcome_kets(t.setting)
+        rows = outcome_kets(t.setting)
         for bits, c in t.counts.items():
             kets.append(rows[int(bits, 2)])
             counts.append(float(c))
@@ -203,13 +201,6 @@ def reduced_fidelities(rho4_pre_phase: DensityMatrix):
         return max(fidelity(marginal, _BELL_PLUS), fidelity(marginal, _BELL_MINUS))
 
     return best((1, 3)), best((2, 4))
-
-
-def rho_to_entry_list(rho: DensityMatrix) -> list:
-    """Flat (row, col, re, im) list of all matrix entries."""
-    m = rho.entries
-    d = m.shape[0]
-    return [[i, j, float(m[i, j].real), float(m[i, j].imag)] for i in range(d) for j in range(d)]
 
 
 def report_to_json_dict(report: TomographyReport) -> dict:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onewaysim.cli import main, parse_angle, ConfigError
 
@@ -219,3 +221,165 @@ def test_stdout_when_no_out(capsys):
     assert main(["witness", "--ideal"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["bound"] == pytest.approx(1.0, abs=1e-10)
+
+
+# ------------------------------------------------------------ config errors
+
+@pytest.mark.parametrize("argv", [
+    ["rotate", "--alpha", "nan"],
+    ["rotate", "--alpha", "pi/0"],
+    ["witness", "--tau", "5", "--storage-time", "nan"],
+    ["witness", "--calibrated", "--target-t1", "3", "--target-t2", "3"],
+    ["lifetime", "--tau", "5", "--t-max", "inf"],
+])
+def test_bad_values_exit_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lifetime_grid_cap_exit_2(tmp_path, capsys):
+    import onewaysim.cli as cli_mod
+
+    t_step = 25.0 / (10 * cli_mod.MAX_LIFETIME_POINTS)
+    code = main(["lifetime", "--tau", "5", "--t-step", repr(t_step),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cli_mod.MAX_LIFETIME_POINTS) in err
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    '{"setting": ["Z", "Z", "Z", "Z"], "counts": {"0000": 1}}\n',
+    "not json\n",
+    '{"setting": ["Z", "Z", "Z", "Z"], "shots": 1, "counts": {"0000": 1}}\n',
+])
+def test_malformed_tables_exit_2(text, tmp_path):
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text(text)
+    code = main(["tomography", "--tables-in", str(tables), "--out", str(tmp_path / "t.json")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--noise-file", "--tables-in"])
+def test_undecodable_input_file_exit_2(flag, tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["tomography", flag, str(path), "--out", str(tmp_path / "t.json")]) == 2
+
+
+def test_verify_checks_under_python_O():
+    script = (
+        "import sys\n"
+        "import onewaysim.cli as cli, onewaysim.mbqc as mbqc\n"
+        "mbqc.branch_verify = lambda alpha, beta: (False, {})\n"
+        "sys.exit(cli.main(['rotate', '--verify']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+
+
+# ------------------------------------------------------------ config schema
+
+# The CLI's option strings; the flags derived from ScenarioConfig must keep
+# exactly these spellings.
+PARSER_OPTION_STRINGS = {
+    "-h", "--help", "--scenario", "--config", "--alpha", "--beta", "--theta",
+    "--shots", "--seed", "--out", "--format", "--verify", "--noise-file",
+    "--tables-in", "--tables-out", "--imbalance", "--spatial-white-noise",
+    "--ideal", "--noiseless", "--calibrated", "--tau", "--osc-amp", "--osc-freq",
+    "--envelope", "--storage-time", "--feedforward", "--no-feedforward", "--mode",
+    "--per-branch", "--t-max", "--t-step", "--target-t1", "--target-f1",
+    "--target-t2", "--target-f2", "--eom-response", "--optical-propagation",
+    "--signal-processing", "--storage-before-first-readout", "--coherence-time",
+}
+
+# A non-default raw value for every non-boolean ScenarioConfig field.
+RAW_FIELD_VALUES = {
+    "scenario": "budget", "alpha": "3pi/4", "beta": "-0.5", "theta": "pi/8",
+    "shots": "7", "seed": "11", "out": "a.json", "format": "csv",
+    "noise_file": None, "tables_in": "t.jsonl", "tables_out": "u.jsonl",
+    "imbalance": "0.5", "spatial_white_noise": "0.25", "tau": "5",
+    "osc_amp": "0.1", "osc_freq": "2", "envelope": "exponential",
+    "storage_time": "1.5", "mode": "rx", "t_max": "10", "t_step": "0.25",
+    "target_t1": "2", "target_f1": "0.7", "target_t2": "12", "target_f2": "0.4",
+    "eom_response": "1", "optical_propagation": "0.5", "signal_processing": "0.2",
+    "storage_before_first_readout": "3", "coherence_time": "20",
+}
+
+
+def test_parser_keeps_option_strings():
+    from onewaysim.cli import build_parser
+
+    parser = build_parser()
+    assert {s for a in parser._actions for s in a.option_strings} == PARSER_OPTION_STRINGS
+
+
+def test_flag_and_file_coerce_alike(tmp_path):
+    from dataclasses import fields
+
+    from onewaysim.cli import ScenarioConfig, parse_args
+
+    noise_file = tmp_path / "empty.cfg"
+    noise_file.write_text("")
+    base = tmp_path / "base.cfg"
+    base.write_text("scenario=witness\n")
+    defaults = ScenarioConfig()
+    for f in fields(ScenarioConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            flag_argv = [f"--no-{flag[2:]}"] if f.default else [flag]
+            raw = str(not f.default).lower()
+        else:
+            raw = RAW_FIELD_VALUES[f.name] or str(noise_file)
+            flag_argv = [flag, raw]
+        cfg = tmp_path / f"{f.name}.cfg"
+        cfg.write_text(f"scenario=witness\n{f.name}={raw}\n")
+        by_flag = parse_args(["--config", str(base)] + flag_argv)
+        by_file = parse_args(["--config", str(cfg)])
+        assert by_flag == by_file, f.name
+        assert getattr(by_file, f.name) != getattr(defaults, f.name), f.name
+    assert set(RAW_FIELD_VALUES) == {
+        f.name for f in fields(ScenarioConfig) if not isinstance(f.default, bool)}
+
+
+_FUZZ_VALUES = (
+    st.sampled_from(["0", "-1", "1.5", "nan", "-inf", "inf", "pi/0", "3pi/4", "1e400",
+                     "", "x", "true", "json", "rx", "gaussian", "witness", "rotate"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+).filter(lambda t: not t.startswith(("-h", "--h")))
+_FUZZ_SWITCHES = ["--verify", "--ideal", "--noiseless", "--calibrated", "--feedforward",
+                  "--no-feedforward", "--per-branch"]
+_FUZZ_OPTIONS = sorted(PARSER_OPTION_STRINGS - {"-h", "--help"} - set(_FUZZ_SWITCHES))
+_FUZZ_ARGV = st.tuples(
+    st.sampled_from(["witness", "lifetime", "tomography", "rotate", "sweep", "budget"]),
+    st.lists(st.tuples(st.sampled_from(_FUZZ_OPTIONS), _FUZZ_VALUES), max_size=4),
+    st.lists(st.sampled_from(_FUZZ_SWITCHES) | _FUZZ_VALUES, max_size=2),
+).map(lambda parts: [parts[0]] + [t for pair in parts[1] for t in pair] + parts[2])
+_FUZZ_KEYS = st.sampled_from(sorted(RAW_FIELD_VALUES) + ["verify", "feedforward", "bogus"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_FUZZ_ARGV,
+       entries=st.lists(st.tuples(_FUZZ_KEYS, _FUZZ_VALUES), max_size=6),
+       extra=st.sampled_from(["", "# comment"]) | st.text(
+           st.characters(blacklist_categories=("Cs",)), max_size=30))
+def test_parse_args_fuzz(argv, entries, extra):
+    import tempfile
+    from pathlib import Path
+
+    from onewaysim.cli import ScenarioConfig, parse_args
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        lines = [f"{k}={v}" for k, v in entries] + [extra]
+        cfg.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            config = parse_args(argv + ["--config", str(cfg)])
+        except ConfigError:
+            return
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert isinstance(config, ScenarioConfig)
+    assert not any(isinstance(v, float) and math.isnan(v) for v in vars(config).values())

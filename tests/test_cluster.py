@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onewaysim.cluster import (
-    DEFAULT_ENCODING,
     IDEAL_PREP,
-    EncodingMap,
     PreparationParams,
     WitnessReport,
     cluster_statevector,
@@ -54,12 +52,6 @@ def test_params_reject_nonpositive_imbalance():
 def test_params_reject_bad_white_noise():
     with pytest.raises(ValueError):
         PreparationParams(spatial_white_noise=1.5)
-
-
-def test_encoding_map_labels():
-    assert DEFAULT_ENCODING.physical_labels("0101") == ("H", "r", "b0", "up")
-    with pytest.raises(ValueError):
-        EncodingMap(polarization=("H", "H"))
 
 
 # ------------------------------------------------------------ prepare_hyper

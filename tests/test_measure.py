@@ -232,15 +232,3 @@ def test_random_source_reproducibility(seed, stream):
     b = RandomSource(seed, stream).generator().random(5)
     assert (a == b).all()
 
-
-def test_detection_efficiencies_recorded():
-    # context constants only; nothing in the simulator consumes them
-    from onewaysim.measure import (
-        ANTI_STOKES_DETECTION_EFFICIENCY,
-        MEMORY_READOUT_EFFICIENCY,
-        STOKES_DETECTION_EFFICIENCY,
-    )
-
-    assert STOKES_DETECTION_EFFICIENCY == 0.25
-    assert ANTI_STOKES_DETECTION_EFFICIENCY == 0.20
-    assert MEMORY_READOUT_EFFICIENCY == 0.29
