@@ -46,7 +46,6 @@ from .noise import (
     calibrate,
     coherence_retention,
     lifetime_curve,
-    storage_channel,
 )
 from .measure import (
     CountTable,

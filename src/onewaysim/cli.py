@@ -231,8 +231,8 @@ def parse_args(argv=None) -> ScenarioConfig:
         )
     if config.shots < 0:
         raise ConfigError(f"shots must be >= 0, got {config.shots}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    if not 0 <= config.seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {config.seed}")
     if config.storage_time < 0:
         raise ConfigError(f"storage_time must be >= 0, got {config.storage_time}")
     return config
@@ -377,16 +377,15 @@ def _run_sweep(config: ScenarioConfig):
 
 
 def _run_budget(config: ScenarioConfig):
-    budget = timing.LatencyBudget(
-        eom_response=config.eom_response,
-        optical_propagation=config.optical_propagation,
-        signal_processing=config.signal_processing,
-        storage_before_first_readout=config.storage_before_first_readout,
-        coherence_time=config.coherence_time,
-    )
+    terms = {f.name: getattr(config, f.name) for f in fields(timing.LatencyBudget)}
+    try:
+        budget = timing.LatencyBudget(**terms)
+        steps = timing.max_steps(budget)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return {
         "cycle_us": timing.cycle_time(budget),
-        "max_steps": timing.max_steps(budget),
+        "max_steps": steps,
         "note": timing.MAX_STEPS_FORMULA_NOTE,
     }
 

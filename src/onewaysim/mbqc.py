@@ -195,8 +195,13 @@ def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> Ro
     reduces to empirical branch frequencies.  Branch probabilities then report
     the empirical frequencies.
     """
-    rho = _cluster_for_request(req)
-    lin3, _ = to_lin3(rho, POSTSELECT_OUTCOME)
+    lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
+    return _rotate_lin3(lin3, req, rng)
+
+
+def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
+                 rng: Optional[RandomSource]) -> RotationResult:
+    """The rotation protocol of ``req`` on an already reduced lin3 cluster."""
     branches = _enumerate_branches(lin3, req.alpha, req.beta, req.feedforward_enabled)
 
     keys = sorted(branches.keys())
@@ -294,13 +299,16 @@ def sweep(mode: str, template: RotationRequest, step: float = math.pi / 8,
 
     ``rx``: alpha fixed at pi/2, beta swept over [0, 2*pi] in ``step``
     increments; ``rz``: beta fixed at 0, alpha swept.  All other request
-    fields come from ``template``.
+    fields come from ``template``.  The angle-independent lin3 cluster is built
+    once; in sampled mode point i draws from ``rng.stream(i)``.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if noise_tag is None:
         noise_tag = "noiseless" if template.noise is None else "noisy"
     count = int(round(2 * math.pi / step)) + 1
+    lin3, _ = to_lin3(_cluster_for_request(template), POSTSELECT_OUTCOME)
+    rng = rng or RandomSource(0)
     points = []
     for i in range(count):
         angle = i * step
@@ -308,7 +316,7 @@ def sweep(mode: str, template: RotationRequest, step: float = math.pi / 8,
             req_i = replace(template, alpha=math.pi / 2, beta=angle)
         else:
             req_i = replace(template, alpha=angle, beta=0.0)
-        result = run_rotation(req_i, rng)
+        result = _rotate_lin3(lin3, req_i, rng.stream(i))
         points.append(SweepPoint(angle_rad=angle, fidelity=result.fidelity,
                                  mode=mode, noise_tag=noise_tag, result=result))
     return points

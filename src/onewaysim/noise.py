@@ -9,6 +9,13 @@ combines a motional-dephasing envelope (Gaussian by default, exponential as an
 alternative) with an optional collapse-revival modulation (c, omega).  The
 modulation parameters are visualization knobs only; calibration and the
 acceptance checks run with c = 0.
+
+Dephasing is diagonal (Nielsen & Chuang, section 8.3.6), so storage is a Schur
+product: entry (i, j) of the density matrix is scaled by
+gamma^popcount((i ^ j) & 0b0011), the memory qubits on which i and j differ.
+The exponent is at most 2, so the witness bound, linear in the state, is
+exactly a quadratic in gamma, and calibration solves it in closed form.  Both
+are exact; against a Kraus-sum channel they differ by float rounding only.
 """
 
 from __future__ import annotations
@@ -19,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import PreparationParams, evaluate_witness, prepare_cluster
-from .qcore import DensityMatrix, QuantumChannel, apply_channel
+from .qcore import DensityMatrix
 
-_I2 = np.eye(2, dtype=np.complex128)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-MEMORY_QUBITS = (3, 4)
+# Memory qubits (3, 4), the two low bits, on which basis states i and j differ.
+_FLIPS = np.array([[bin((i ^ j) & 0b0011).count("1") for j in range(16)] for i in range(16)])
 
 #: Default calibration targets: witness fidelity bound at two storage times (us).
 DEFAULT_CALIBRATION_TARGETS = {2.27: 0.80, 14.27: 0.50}
@@ -83,34 +88,14 @@ def coherence_retention(t: float, params: StorageNoiseParams) -> float:
     return min(max(g, 0.0), 1.0)
 
 
-def dephasing_channel(retention: float) -> QuantumChannel:
-    """Single-qubit dephasing scaling off-diagonals by ``retention``."""
-    if not 0.0 <= retention <= 1.0:
-        raise ValueError(f"retention must be in [0, 1], got {retention}")
-    k0 = math.sqrt((1.0 + retention) / 2.0) * _I2
-    k1 = math.sqrt((1.0 - retention) / 2.0) * _Z2
-    return QuantumChannel((k0, k1))
-
-
-def pair_dephasing_channel(retention: float) -> QuantumChannel:
-    """Independent equal-strength dephasing on two qubits, as one 2-qubit channel."""
-    single = dephasing_channel(retention).kraus_operators
-    kraus = tuple(np.kron(a, b) for a in single for b in single)
-    return QuantumChannel(kraus)
-
-
-def storage_channel(t: float, params: StorageNoiseParams) -> QuantumChannel:
-    """Dephasing accumulated after ``t`` microseconds of storage.
-
-    Acts on the memory qubits (3, 4) jointly, as independent single-qubit
-    dephasings with the common retention gamma(t).
-    """
-    return pair_dephasing_channel(coherence_retention(t, params))
+def _dephase(rho: DensityMatrix, retention: float) -> DensityMatrix:
+    """Both memory qubits of the cluster dephased with ``retention``, by one mask."""
+    return DensityMatrix(4, rho.entries * np.power(retention, _FLIPS))
 
 
 def apply_storage(rho: DensityMatrix, t: float, params: StorageNoiseParams) -> DensityMatrix:
-    """Convenience: storage_channel(t) applied to qubits (3, 4)."""
-    return apply_channel(rho, storage_channel(t, params), MEMORY_QUBITS)
+    """Memory qubits (3, 4) dephased independently by gamma(t) after ``t`` us of storage."""
+    return _dephase(rho, coherence_retention(t, params))
 
 
 def lifetime_curve(times, prep: PreparationParams, noise: StorageNoiseParams) -> list:
@@ -124,7 +109,7 @@ def lifetime_curve(times, prep: PreparationParams, noise: StorageNoiseParams) ->
     rho0 = prepare_cluster(prep)
     points = []
     for t in times:
-        rho = apply_channel(rho0, storage_channel(t, noise), MEMORY_QUBITS)
+        rho = _dephase(rho0, coherence_retention(t, noise))
         points.append(LifetimePoint(t, evaluate_witness(rho).fidelity_lower_bound))
     return points
 
@@ -174,25 +159,41 @@ def _prep_for_scale(scale: float, pol_anchor: float, spa_anchor: float) -> Prepa
     return PreparationParams(theta=0.0, imbalance=r, spatial_white_noise=p_w)
 
 
-def _bound_at_retention(rho0: DensityMatrix, gamma: float) -> float:
-    rho = apply_channel(rho0, pair_dephasing_channel(gamma), MEMORY_QUBITS)
-    return evaluate_witness(rho).fidelity_lower_bound
+#: Retentions within this distance of 0 or 1 are moved inside [0, 1]: a
+#: retention of exactly 0 or 1 has no finite decay constant, so the callers
+#: reject it.  2^-43 is the resolution of a 42-step bisection on [0, 1] (the
+#: test oracle), so a target on an edge resolves as it does there.
+_EDGE_RETENTION = 2.0**-43
 
 
-def _solve_retention(rho0: DensityMatrix, target: float, iters: int = 42):
-    """Retention gamma with bound(gamma) = target, or None if out of range."""
-    lo, hi = 0.0, 1.0
-    b_lo = _bound_at_retention(rho0, lo)
-    b_hi = _bound_at_retention(rho0, hi)
-    if target > b_hi + 1e-12 or target < b_lo - 1e-12:
+def _bound_knots(rho0: DensityMatrix) -> tuple:
+    """Witness bound at retentions 0, 1/2 and 1; the quadratic through them is exact."""
+    return tuple(evaluate_witness(_dephase(rho0, g)).fidelity_lower_bound
+                 for g in (0.0, 0.5, 1.0))
+
+
+def _solve_retention(knots: tuple, target: float):
+    """Retention gamma with bound(gamma) = target, or None if out of range.
+
+    ``knots`` are the state's ``_bound_knots``, so one state costs three
+    witness evaluations however many targets it is solved for.
+    """
+    b0, bh, b1 = knots
+    if target > b1 + 1e-12 or target < b0 - 1e-12:
         return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _bound_at_retention(rho0, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # Roots of c0 + c1 g + c2 g^2, the bound minus the target.
+    c0, c1, c2 = b0 - target, 4.0 * bh - 3.0 * b0 - b1, 2.0 * (b0 + b1 - 2.0 * bh)
+    if abs(c2) <= 1e-12 * abs(c1):
+        # Linear; a flat bound (c1 = 0) meets the target at either edge.
+        roots = (-c0 / c1 if c1 else float(c0 < 0.0),)
+    else:
+        # Numerically stable pair q / c2, c0 / q; q = 0 only for c1 = 0 <= c0 c2.
+        q = -0.5 * (c1 + math.copysign(math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)), c1))
+        roots = (q / c2, c0 / q) if q else (0.0,)
+    # The root in [0, 1], or the nearest one when float dust or the range
+    # check's 1e-12 slack puts it just outside.
+    root = min(roots, key=lambda g: max(-g, g - 1.0))
+    return min(max(root, _EDGE_RETENTION), 1.0 - _EDGE_RETENTION)
 
 
 def calibrate(
@@ -242,10 +243,7 @@ def calibrate(
             residual=float("inf"),
         )
 
-    if envelope == "gaussian":
-        exponent_ratio = (t2 / t1) ** 2
-    else:
-        exponent_ratio = t2 / t1
+    exponent_ratio = (t2 / t1) ** (2 if envelope == "gaussian" else 1)
 
     def mismatch(scale: float):
         """log-gamma consistency of the two implied retentions; None if infeasible."""
@@ -253,9 +251,8 @@ def calibrate(
             prep = _prep_for_scale(scale, pol_anchor, spa_anchor)
         except ValueError:
             return None
-        rho0 = prepare_cluster(prep)
-        g1 = _solve_retention(rho0, f1)
-        g2 = _solve_retention(rho0, f2)
+        knots = _bound_knots(prepare_cluster(prep))
+        g1, g2 = _solve_retention(knots, f1), _solve_retention(knots, f2)
         if g1 is None or g2 is None or g1 <= 0.0 or g2 <= 0.0 or g1 >= 1.0:
             return None
         return math.log(g2) - exponent_ratio * math.log(g1)
@@ -267,16 +264,13 @@ def calibrate(
         # No imperfection scale can flatten the curve enough; report the
         # residual of the tau that nails the first target with ideal prep.
         prep = PreparationParams()
-        rho0 = prepare_cluster(prep)
-        g1 = _solve_retention(rho0, f1)
+        g1 = _solve_retention(_bound_knots(prepare_cluster(prep)), f1)
         if g1 is None or g1 <= 0.0 or g1 >= 1.0:
             raise CalibrationError("targets unreachable with ideal preparation",
                                    residual=float("inf"))
         noise = StorageNoiseParams(tau=_tau_for(t1, g1, envelope), envelope=envelope)
-        achieved = lifetime_curve([t1, t2], prep, noise)
-        residual = max(abs(p.fidelity_bound - f) for p, f in zip(achieved, (f1, f2)))
         raise CalibrationError("targets unreachable even with ideal preparation",
-                               residual=residual)
+                               residual=_max_error(prep, noise, items))
     hi = None
     scale = 0.1
     while scale <= 6.0:
@@ -299,40 +293,34 @@ def calibrate(
     scale = 0.5 * (lo + hi)
 
     prep = _prep_for_scale(scale, pol_anchor, spa_anchor)
-    rho0 = prepare_cluster(prep)
-    g1 = _solve_retention(rho0, f1)
+    g1 = _solve_retention(_bound_knots(prepare_cluster(prep)), f1)
     noise = StorageNoiseParams(tau=_tau_for(t1, g1, envelope), envelope=envelope)
-
-    achieved = lifetime_curve([t1, t2], prep, noise)
-    residual = max(abs(p.fidelity_bound - f) for p, f in zip(achieved, (f1, f2)))
-    if residual > residual_limit:
-        raise CalibrationError("calibration residual exceeds the limit", residual=residual)
-    return CalibrationResult(prep=prep, noise=noise, residual=residual)
+    return _checked_result(prep, noise, items, residual_limit)
 
 
 def _calibrate_single(target, envelope: str, residual_limit: float) -> CalibrationResult:
     t, f = target
     prep = PreparationParams()
-    rho0 = prepare_cluster(prep)
-    if t == 0.0:
-        # gamma(0) = 1 for every tau, so the decay constant is unconstrained.
-        noise = StorageNoiseParams(tau=UNCONSTRAINED_TAU, envelope=envelope)
-        residual = abs(_bound_at_retention(rho0, 1.0) - f)
-        if residual > residual_limit:
-            raise CalibrationError("target at t=0 unreachable with ideal preparation",
-                                   residual=residual)
-        return CalibrationResult(prep=prep, noise=noise, residual=residual)
-    g = _solve_retention(rho0, f)
+    knots = _bound_knots(prepare_cluster(prep))
+    # gamma(0) = 1 for every tau, so a target at t = 0 leaves tau unconstrained.
+    g = 1.0 if t == 0.0 else _solve_retention(knots, f)
     if g is None or g <= 0.0:
-        best = _bound_at_retention(rho0, 0.0 if f < 0 else 1.0)
+        best = knots[0] if f < 0 else knots[2]
         raise CalibrationError("single target out of the reachable bound range",
                                residual=abs(best - f))
-    if g >= 1.0:
-        noise = StorageNoiseParams(tau=UNCONSTRAINED_TAU, envelope=envelope)
-    else:
-        noise = StorageNoiseParams(tau=_tau_for(t, g, envelope), envelope=envelope)
-    achieved = lifetime_curve([t], prep, noise)[0].fidelity_bound
-    residual = abs(achieved - f)
+    tau = UNCONSTRAINED_TAU if g >= 1.0 else _tau_for(t, g, envelope)
+    noise = StorageNoiseParams(tau=tau, envelope=envelope)
+    return _checked_result(prep, noise, [target], residual_limit)
+
+
+def _max_error(prep: PreparationParams, noise: StorageNoiseParams, items) -> float:
+    """Largest |bound - target| of the model over the (time, bound) targets."""
+    achieved = lifetime_curve([t for t, _ in items], prep, noise)
+    return max(abs(p.fidelity_bound - f) for p, (_, f) in zip(achieved, items))
+
+
+def _checked_result(prep, noise, items, residual_limit: float) -> CalibrationResult:
+    residual = _max_error(prep, noise, items)
     if residual > residual_limit:
         raise CalibrationError("calibration residual exceeds the limit", residual=residual)
     return CalibrationResult(prep=prep, noise=noise, residual=residual)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -17,10 +17,9 @@ class LatencyBudget:
     coherence_time: float = 0.0
 
     def __post_init__(self):
-        for name in ("eom_response", "optical_propagation", "signal_processing",
-                     "storage_before_first_readout", "coherence_time"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
 
 
 # Reference numbers of the demonstrated configuration.
@@ -64,4 +63,7 @@ def max_steps(budget: LatencyBudget) -> int:
     remaining = budget.coherence_time - budget.storage_before_first_readout
     if remaining <= 0:
         return 0
-    return max(0, math.floor(remaining / cycle))
+    steps = remaining / cycle
+    if not math.isfinite(steps):
+        raise ValueError(f"step budget {remaining} / {cycle} overflows")
+    return max(0, math.floor(steps))

@@ -1,7 +1,13 @@
-"""Shared independent oracles: raw-numpy constructions kept deliberately
-separate from the library code paths they check."""
+"""Shared independent oracles: raw-numpy constructions and Kraus-channel
+forms kept deliberately separate from the library code paths they check."""
+
+import math
 
 import numpy as np
+
+from onewaysim.cluster import evaluate_witness
+from onewaysim.noise import coherence_retention
+from onewaysim.qcore import QuantumChannel, apply_channel
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,3 +81,43 @@ def aligned_distance(a, b):
     k = int(np.argmax(np.abs(a)))
     phase = (a[k] / abs(a[k])) * (b[k] / abs(b[k])).conjugate()
     return float(np.abs(a - phase * b).max())
+
+
+# ------------------------------------------------------ storage Kraus oracle
+
+def dephasing_channel(retention):
+    """Single-qubit dephasing scaling off-diagonals by ``retention``."""
+    k0 = math.sqrt((1.0 + retention) / 2.0) * I2
+    k1 = math.sqrt((1.0 - retention) / 2.0) * SZ
+    return QuantumChannel((k0, k1))
+
+
+def pair_dephasing_channel(retention):
+    """Independent equal-strength dephasing on two qubits, as one 2-qubit channel."""
+    single = dephasing_channel(retention).kraus_operators
+    return QuantumChannel(tuple(np.kron(a, b) for a in single for b in single))
+
+
+def storage_channel(t, params):
+    """Kraus form of the storage dephasing after ``t`` us, on qubits (3, 4)."""
+    return pair_dephasing_channel(coherence_retention(t, params))
+
+
+def kraus_bound_at_retention(rho0, retention):
+    rho = apply_channel(rho0, pair_dephasing_channel(retention), (3, 4))
+    return evaluate_witness(rho).fidelity_lower_bound
+
+
+def bisect_retention(rho0, target, iters=42):
+    """Retention with Kraus-path bound = target by bisection, or None if out of range."""
+    lo, hi = 0.0, 1.0
+    if not (kraus_bound_at_retention(rho0, lo) - 1e-12 <= target
+            <= kraus_bound_at_retention(rho0, hi) + 1e-12):
+        return None
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if kraus_bound_at_retention(rho0, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -231,10 +231,22 @@ def test_stdout_when_no_out(capsys):
     ["witness", "--tau", "5", "--storage-time", "nan"],
     ["witness", "--calibrated", "--target-t1", "3", "--target-t2", "3"],
     ["lifetime", "--tau", "5", "--t-max", "inf"],
+    ["budget", "--coherence-time", "inf"],
+    ["budget", "--eom-response", "-1"],
+    ["budget", "--coherence-time", "1e308", "--eom-response", "1e-300",
+     "--optical-propagation", "0", "--signal-processing", "0"],
+    ["rotate", "--seed", "99999999999999999999"],
+    ["rotate", "--seed", str(2**64)],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_largest_seed_accepted(tmp_path):
+    assert main(["rotate", "--shots", "10", "--seed", str(2**64 - 1),
+                 "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_lifetime_grid_cap_exit_2(tmp_path, capsys):
@@ -347,6 +359,7 @@ _FUZZ_VALUES = (
     st.sampled_from(["0", "-1", "1.5", "nan", "-inf", "inf", "pi/0", "3pi/4", "1e400",
                      "", "x", "true", "json", "rx", "gaussian", "witness", "rotate"])
     | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    | st.integers(2**64, 2**70).map(str)
 ).filter(lambda t: not t.startswith(("-h", "--h")))
 _FUZZ_SWITCHES = ["--verify", "--ideal", "--noiseless", "--calibrated", "--feedforward",
                   "--no-feedforward", "--per-branch"]
@@ -383,3 +396,4 @@ def test_parse_args_fuzz(argv, entries, extra):
             return
     assert isinstance(config, ScenarioConfig)
     assert not any(isinstance(v, float) and math.isnan(v) for v in vars(config).values())
+    assert 0 <= config.seed < 2**64

@@ -15,7 +15,6 @@ from onewaysim.cluster import (
     witness_stabilizer_terms,
     WITNESS_PAULI_STRINGS,
 )
-from onewaysim.noise import pair_dephasing_channel
 from onewaysim.qcore import (
     apply_channel,
     density,
@@ -24,7 +23,7 @@ from onewaysim.qcore import (
     maximally_mixed,
     permute_qubits,
 )
-from conftest import c4_vector, kron_chain, pauli_matrix
+from conftest import c4_vector, kron_chain, pair_dephasing_channel, pauli_matrix
 
 
 def bell(theta=0.0):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onewaysim.cluster import IDEAL_PREP, cluster_statevector, prepare_cluster
+from onewaysim.cluster import (
+    IDEAL_PREP,
+    PreparationParams,
+    cluster_statevector,
+    prepare_cluster,
+)
 from onewaysim.measure import RandomSource
 from onewaysim.mbqc import (
     LIN3_ORDER,
@@ -292,6 +297,29 @@ def test_calibrated_sweep_ordering(calibrated_noise):
     mean_rx = sum(p.fidelity for p in rx) / len(rx)
     mean_rz = sum(p.fidelity for p in rz) / len(rz)
     assert mean_rz > mean_rx
+
+
+def test_sampled_sweep_draws_each_point_from_its_own_stream():
+    points = sweep("rx", RotationRequest(alpha=0.0, beta=0.0, shots=100), rng=RandomSource(3))
+    freqs = [p.result.branch_outputs[(0, 0)].probability for p in points]
+    assert len(set(freqs)) > 1
+
+
+@pytest.mark.parametrize("mode", ["rx", "rz"])
+def test_sweep_points_equal_single_rotations(mode):
+    noise = RotationNoise(PreparationParams(imbalance=0.5, spatial_white_noise=0.07),
+                          StorageNoiseParams(tau=20.0), storage_time=4.0)
+    template = RotationRequest(alpha=0.0, beta=0.0, shots=50, noise=noise,
+                               feedforward_enabled=mode == "rx")
+    rng = RandomSource(11)
+    for i, p in enumerate(sweep(mode, template, rng=rng)):
+        alpha, beta = (math.pi / 2, p.angle_rad) if mode == "rx" else (p.angle_rad, 0.0)
+        req = RotationRequest(alpha=alpha, beta=beta, shots=50, noise=noise,
+                              feedforward_enabled=mode == "rx")
+        single = run_rotation(req, rng.stream(i))
+        assert p.fidelity == single.fidelity
+        assert np.array_equal(p.result.corrected_output.entries,
+                              single.corrected_output.entries)
 
 
 def test_sweep_rejects_unknown_mode():

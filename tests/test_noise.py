@@ -9,15 +9,23 @@ from onewaysim.cluster import IDEAL_PREP, PreparationParams, evaluate_witness, p
 from onewaysim.noise import (
     DEFAULT_CALIBRATION_TARGETS,
     CalibrationError,
+    _bound_knots,
+    _dephase,
+    _solve_retention,
     StorageNoiseParams,
     apply_storage,
     calibrate,
     coherence_retention,
-    dephasing_channel,
     lifetime_curve,
+)
+from onewaysim.qcore import DensityMatrix, apply_channel, density, maximally_mixed, partial_trace
+
+from conftest import (
+    bisect_retention,
+    dephasing_channel,
+    pair_dephasing_channel,
     storage_channel,
 )
-from onewaysim.qcore import apply_channel, density, maximally_mixed, partial_trace
 
 
 def test_params_validation():
@@ -98,6 +106,17 @@ def test_polarization_marginal_only_sees_qubit3_dephasing():
     marg = partial_trace(rho, (1, 3))
     expected = apply_channel(marg, dephasing_channel(coherence_retention(t, params)), (2,))
     assert np.abs(partial_trace(noisy, (1, 3)).entries - expected.entries).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 16), retention=st.floats(0.0, 1.0))
+def test_storage_mask_matches_kraus_oracle(seed, rank, retention):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
+    rho = a @ a.conj().T
+    rho = DensityMatrix(4, rho / np.trace(rho).real)
+    expected = apply_channel(rho, pair_dephasing_channel(retention), (3, 4))
+    assert np.abs(_dephase(rho, retention).entries - expected.entries).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,3 +205,90 @@ def test_calibrated_reduced_pair_quality_ordering():
 
     pol, spa = reduced_fidelities(prepare_hyper(result.prep))
     assert spa > pol
+
+
+# ------------------------------------------- closed-form retention and calibration
+
+@settings(max_examples=25, deadline=None)
+@given(
+    r=st.floats(0.3, 1.0),
+    p_w=st.floats(0.0, 0.3),
+    where=st.floats(0.0, 1.0),
+)
+def test_quadratic_retention_matches_bisection_oracle(r, p_w, where):
+    rho0 = prepare_cluster(PreparationParams(imbalance=r, spatial_white_noise=p_w))
+    knots = _bound_knots(rho0)
+    target = knots[0] + where * (knots[2] - knots[0])
+    assert _solve_retention(knots, target) == pytest.approx(
+        bisect_retention(rho0, target), abs=1e-9)
+
+
+# Parameters of the default targets and of the four corners (t1, f1, t2, f2)
+# of the characterize benchmark's target ranges, as a 42-step bisection over
+# Kraus-path witness evaluations found them.
+CALIBRATION_REFERENCE = [
+    (None, 0.44633252643552435, 0.06668454738292103, 20.821225716490936),
+    ({2.0: 0.76, 12.0: 0.46}, 0.4008292169467717, 0.08068970603058585, 16.983519337568097),
+    ({3.0: 0.84, 16.0: 0.54}, 0.5044843944145375, 0.051058242598051105, 23.868669607036253),
+    ({2.0: 0.84, 16.0: 0.46}, 0.49659335422040973, 0.053031321958886934, 20.676989630263503),
+    ({3.0: 0.76, 12.0: 0.54}, 0.4081585407554823, 0.07832757315995693, 20.1781187582707),
+]
+
+
+@pytest.mark.parametrize("targets,imbalance,white_noise,tau", CALIBRATION_REFERENCE)
+def test_calibrate_matches_reference_parameters(targets, imbalance, white_noise, tau):
+    result = calibrate(targets)
+    assert result.prep.imbalance == pytest.approx(imbalance, rel=1e-9)
+    assert result.prep.spatial_white_noise == pytest.approx(white_noise, rel=1e-9)
+    assert result.noise.tau == pytest.approx(tau, rel=1e-9)
+    assert result.residual < 1e-11
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_retention_target_on_range_edge(edge):
+    rho0 = prepare_cluster(PreparationParams(imbalance=0.6, spatial_white_noise=0.1))
+    knots = _bound_knots(rho0)
+    target = knots[2 * edge]  # bound(0) or bound(1)
+    g = _solve_retention(knots, target)
+    # Strictly inside (0, 1), where the bisection oracle stops.
+    assert g == bisect_retention(rho0, target)
+    assert g == (1.0 - 2.0**-43 if edge else 2.0**-43)
+
+
+def test_retention_out_of_range_is_none():
+    rho0 = prepare_cluster(PreparationParams(imbalance=0.6, spatial_white_noise=0.1))
+    knots = _bound_knots(rho0)
+    b0, b1 = knots[0], knots[2]
+    for target in (b0 - 1e-9, b1 + 1e-9, -0.6, 1.0):
+        assert _solve_retention(knots, target) is None
+        assert bisect_retention(rho0, target) is None
+    # Within the 1e-12 slack the target resolves to the edge.
+    assert _solve_retention(knots, b1 + 5e-13) == bisect_retention(rho0, b1 + 5e-13)
+
+
+# CalibrationError residuals of unreachable targets, as the bisection found them.
+@pytest.mark.parametrize("targets,residual", [
+    ({2.0: 0.6, 10.0: 0.9}, 0.15000000000000002),
+    ({2.0: 0.99, 10.0: 0.1}, 0.6778213593970924),
+    ({2.0: 0.8, 10.0: -0.6}, 0.6037778931863038),
+    ({2.0: 0.9, 4.0: 0.3}, 0.3560999999999335),
+    ({5.0: -0.7}, 0.7),
+    ({0.0: 0.95}, 0.04999999999999982),
+])
+def test_unreachable_target_residuals(targets, residual):
+    with pytest.raises(CalibrationError) as err:
+        calibrate(targets)
+    assert err.value.residual == pytest.approx(residual, rel=1e-9)
+
+
+@pytest.mark.parametrize("f,tau", [
+    (0.7, 8.37208643657058),
+    # bound(0) and bound(1) of the ideal cluster: retention 2^-43 and 1 - 2^-43.
+    (0.0, 0.9158472506719397),
+    (1.0, 14829104.003788883),
+])
+def test_single_target_calibration(f, tau):
+    result = calibrate({5.0: f})
+    assert result.prep == IDEAL_PREP
+    assert result.noise.tau == pytest.approx(tau, rel=1e-9)
+    assert result.residual < 1e-12
