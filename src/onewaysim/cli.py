@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -150,8 +151,8 @@ def _coerce(key: str, raw) -> object:
         value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key}: {raw!r}") from exc
-    if isinstance(value, float) and math.isnan(value):
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
     choices = _CHOICES.get(key)
     if choices is not None and value not in choices:
         raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
@@ -202,6 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _apply_file(config: ScenarioConfig, path: str, allowed, label: str) -> None:
     for key, raw in read_key_value_file(path).items():
         if key not in allowed:
@@ -211,7 +218,7 @@ def _apply_file(config: ScenarioConfig, path: str, allowed, label: str) -> None:
 
 def parse_args(argv=None) -> ScenarioConfig:
     """Merge defaults, config file, and flags (in increasing precedence)."""
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     config = ScenarioConfig()
     if args.config:
         _apply_file(config, args.config, _FIELD_KINDS, "config")
@@ -229,8 +236,8 @@ def parse_args(argv=None) -> ScenarioConfig:
         raise ConfigError(
             f"scenario must be one of {', '.join(SCENARIOS)}, got {config.scenario!r}"
         )
-    if config.shots < 0:
-        raise ConfigError(f"shots must be >= 0, got {config.shots}")
+    if not 0 <= config.shots < 2**63:  # an int64 count
+        raise ConfigError(f"shots must be in [0, 2^63), got {config.shots}")
     if not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2^64), got {config.seed}")
     if config.storage_time < 0:
@@ -265,6 +272,7 @@ def _resolve_model(config: ScenarioConfig):
             tau=config.tau, osc_amp=config.osc_amp,
             osc_freq=config.osc_freq, envelope=config.envelope,
         )
+        noise.coherence_retention(config.storage_time, storage)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return prep, storage, config.storage_time
@@ -298,6 +306,10 @@ def _run_lifetime(config: ScenarioConfig):
         raise ConfigError(f"lifetime grid t_max / t_step = {steps:.6g} exceeds the limit "
                           f"of {MAX_LIFETIME_POINTS} points")
     times = [i * config.t_step for i in range(int(steps) + 1)]
+    try:
+        noise.coherence_retention(times[-1], storage)  # checks the largest modulation phase
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     points = noise.lifetime_curve(times, prep, storage)
     return ["t_us", "fidelity_bound"], [[p.t, p.fidelity_bound] for p in points]
 

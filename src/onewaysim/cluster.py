@@ -18,12 +18,9 @@ from .qcore import (
     ObservableOperator,
     StateVector,
     UnitaryOperator,
-    apply_unitary,
-    density,
+    _permute_tensor,
     expectation,
     pauli_string,
-    permute_qubits,
-    tensor,
 )
 
 
@@ -60,32 +57,44 @@ IDEAL_PREP = PreparationParams()
 # phase plate acting on the V polarization in the second spatial mode.
 CONDITIONAL_PHASE = UnitaryOperator(2, np.diag([1, 1, 1, -1]).astype(np.complex128))
 
+# The phase is diagonal, so on the 4-qubit register it is a sign per basis
+# state (+-1, qubits 3 and 4 untouched) and on a density matrix the mask of
+# sign products.
+_PHASE_SIGNS = np.kron(np.diag(CONDITIONAL_PHASE.entries).real, np.ones(4))
+_PHASE_MASK = np.outer(_PHASE_SIGNS, _PHASE_SIGNS)
+
 # Six Pauli strings whose +1 eigenspace intersects exactly on the ideal
 # cluster; each is verified as a stabilizer in the test suite.
 WITNESS_PAULI_STRINGS = ("XIXZ", "XZXI", "IZIZ", "IXZX", "ZXIX", "ZIZI")
 
 
 def _pair_kets(theta: float, imbalance: float):
-    """Pure pair states: polarization-like (1,3) with amplitude ratio ``imbalance``,
-    spatial (2,4) with phase ``theta``."""
+    """Pure pair amplitudes: polarization-like (1,3) with amplitude ratio
+    ``imbalance``, spatial (2,4) with phase ``theta``."""
     r = imbalance
-    pol = StateVector(2, np.array([1, 0, 0, r], dtype=np.complex128) / np.sqrt(1 + r * r))
-    spa = StateVector(
-        2, np.array([1, 0, 0, np.exp(1j * theta)], dtype=np.complex128) / np.sqrt(2.0)
-    )
+    pol = np.array([1, 0, 0, r], dtype=np.complex128) / np.sqrt(1 + r * r)
+    spa = np.array([1, 0, 0, np.exp(1j * theta)], dtype=np.complex128) / np.sqrt(2.0)
     return pol, spa
 
 
 def hyper_statevector(theta: float = 0.0, imbalance: float = 1.0) -> StateVector:
     """Pure hyperentangled state (no white noise): pair (1,3) x pair (2,4)."""
     pol, spa = _pair_kets(theta, imbalance)
-    joint = tensor([pol, spa])  # ordering (1, 3, 2, 4)
-    return permute_qubits(joint, (1, 3, 2, 4))
+    joint = np.kron(pol, spa)  # ordering (1, 3, 2, 4)
+    return StateVector(4, _permute_tensor(joint, (1, 3, 2, 4), 4, matrix=False))
 
 
 def cluster_statevector(theta: float = 0.0, imbalance: float = 1.0) -> StateVector:
     """Pure cluster state; defaults give the ideal |C4> = (|0000>+|1010>+|0101>-|1111>)/2."""
-    return apply_unitary(hyper_statevector(theta, imbalance), CONDITIONAL_PHASE, (1, 2))
+    return StateVector(4, hyper_statevector(theta, imbalance).amplitudes * _PHASE_SIGNS)
+
+
+def _hyper_entries(params: PreparationParams) -> np.ndarray:
+    pol, spa = _pair_kets(params.theta, params.imbalance)
+    p_w = params.spatial_white_noise
+    spa_rho = (1.0 - p_w) * np.outer(spa, spa.conj()) + p_w * np.eye(4) / 4.0
+    joint = np.kron(np.outer(pol, pol.conj()), spa_rho)  # ordering (1, 3, 2, 4)
+    return _permute_tensor(joint, (1, 3, 2, 4), 4, matrix=True)
 
 
 def prepare_hyper(params: PreparationParams) -> DensityMatrix:
@@ -95,16 +104,12 @@ def prepare_hyper(params: PreparationParams) -> DensityMatrix:
     the spatial pair (2,4) is mixed with white noise of weight
     ``spatial_white_noise``.
     """
-    pol, spa = _pair_kets(params.theta, params.imbalance)
-    p_w = params.spatial_white_noise
-    spa_rho = (1.0 - p_w) * density(spa).entries + p_w * np.eye(4) / 4.0
-    joint = tensor([density(pol), DensityMatrix(2, spa_rho)])  # ordering (1, 3, 2, 4)
-    return permute_qubits(joint, (1, 3, 2, 4))
+    return DensityMatrix(4, _hyper_entries(params))
 
 
 def prepare_cluster(params: PreparationParams) -> DensityMatrix:
     """Cluster state: prepare_hyper followed by the conditional phase on (1, 2)."""
-    return apply_unitary(prepare_hyper(params), CONDITIONAL_PHASE, (1, 2))
+    return DensityMatrix(4, _hyper_entries(params) * _PHASE_MASK)
 
 
 @lru_cache(maxsize=1)

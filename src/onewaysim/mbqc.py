@@ -30,19 +30,28 @@ from .qcore import (
     PAULI_Z,
     DensityMatrix,
     StateVector,
-    apply_unitary,
+    _embed_matrix,
+    _permute_tensor,
     fidelity,
-    permute_qubits,
     phase_aligned_distance,
     plus_ket,
     project,
     rho_to_entry_list,
     rotation_gate,
-    tensor,
 )
 
 # Register order used by the reduction: new qubit i is old qubit LIN3_ORDER[i-1].
 LIN3_ORDER = (4, 2, 1, 3)
+
+# The reduction as one fixed linear map per postselection outcome o:
+# _LIN3_MAPS[o] = (<o| x I_8) (H x I x I x H) P, an 8x16 matrix on the register
+# in its original order; P reorders it to LIN3_ORDER.
+_LIN3_INDEX = _permute_tensor(np.arange(16), LIN3_ORDER, 4, matrix=False)  # new -> old
+_OUTER_HADAMARDS = _embed_matrix(np.kron(HADAMARD.entries, HADAMARD.entries), (1, 4), 4)
+_LIN3_MAPS = tuple(_OUTER_HADAMARDS[8 * o:8 * o + 8][:, np.argsort(_LIN3_INDEX)]
+                   for o in (0, 1))
+# Pauli byproducts of the outcomes (s2, s3), undone as plain 2x2 products.
+_BYPRODUCTS = (PAULI_Z.entries, PAULI_X.entries)
 
 #: Postselection outcome for the removed qubit.  Outcome 1 yields the same
 #: protocol after a known local Z on the first remaining qubit (see tests).
@@ -120,30 +129,29 @@ def to_lin3(cluster, postselect_outcome: int = POSTSELECT_OUTCOME):
 
     Reorders the register to LIN3_ORDER, applies H on the new outer qubits
     (1, 4) and removes qubit 1 by postselecting the chosen computational
-    outcome.  Works on pure states and density matrices alike; returns the
-    3-qubit state and the postselection probability.
+    outcome, all as one precomputed 8x16 map.  Works on pure states and
+    density matrices alike; returns the 3-qubit state and the postselection
+    probability.
     """
     if cluster.n_qubits != 4:
         raise ValueError("lin3 reduction starts from a 4-qubit state")
     if postselect_outcome not in (0, 1):
         raise ValueError(f"postselect outcome must be 0 or 1, got {postselect_outcome}")
-    s = permute_qubits(cluster, LIN3_ORDER)
-    s = apply_unitary(s, tensor([HADAMARD, HADAMARD]), (1, 4))
-    bra = np.zeros(2, dtype=np.complex128)
-    bra[postselect_outcome] = 1.0
-    values = s.amplitudes if isinstance(s, StateVector) else s.entries
-    reduced, prob = project(values, 4, 1, bra)
+    k = _LIN3_MAPS[postselect_outcome]
+    pure = isinstance(cluster, StateVector)
+    out = k @ cluster.amplitudes if pure else k @ cluster.entries @ k.conj().T
+    prob = float(np.real(np.vdot(out, out) if pure else np.trace(out)))
     if prob < 1e-12:
         raise ValueError("postselection has zero probability")
-    if isinstance(s, StateVector):
-        return StateVector(3, reduced / math.sqrt(prob)), prob
-    return DensityMatrix(3, reduced / prob), prob
+    if pure:
+        return StateVector(3, out / math.sqrt(prob)), prob
+    return DensityMatrix(3, out / prob), prob
 
 
 def rotation_target(alpha: float, beta: float) -> StateVector:
     """Ideal output R_x(-beta) R_z(-alpha) |+>."""
-    out = apply_unitary(plus_ket(), rotation_gate("z", -alpha), (1,))
-    return apply_unitary(out, rotation_gate("x", -beta), (1,))
+    out = rotation_gate("z", -alpha).entries @ plus_ket().amplitudes
+    return StateVector(1, rotation_gate("x", -beta).entries @ out)
 
 
 def _equatorial_bra(angle: float, outcome: int) -> np.ndarray:
@@ -152,7 +160,7 @@ def _equatorial_bra(angle: float, outcome: int) -> np.ndarray:
 
 
 def _enumerate_branches(lin3: DensityMatrix, alpha: float, beta: float, feedforward: bool):
-    """Exact (probability, pre-correction state, corrected state) per branch."""
+    """Exact (probability, pre-correction state, corrected matrix) per branch."""
     branches = {}
     for s2 in (0, 1):
         mid, p2 = project(lin3.entries, 3, 1, _equatorial_bra(alpha, s2))
@@ -165,14 +173,12 @@ def _enumerate_branches(lin3: DensityMatrix, alpha: float, beta: float, feedforw
             prob = p2 * p3
             if prob < 1e-12:
                 continue
-            out = out / p3
-            raw = DensityMatrix(1, out)
-            corrected = raw
+            raw = DensityMatrix(1, out / p3)
+            corrected = raw.entries
             if feedforward:
-                if s2:
-                    corrected = apply_unitary(corrected, PAULI_Z, (1,))
-                if s3:
-                    corrected = apply_unitary(corrected, PAULI_X, (1,))
+                for flip, u in zip((s2, s3), _BYPRODUCTS):
+                    if flip:
+                        corrected = u @ corrected @ u.conj().T
             branches[(s2, s3)] = (prob, raw, corrected)
     return branches
 
@@ -216,7 +222,7 @@ def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
     for k, w in zip(keys, weights):
         prob, raw, corrected = branches[k]
         outputs[k] = BranchOutput(probability=float(w), state=raw)
-        mix += w * corrected.entries
+        mix += w * corrected
     corrected_output = DensityMatrix(1, mix)
     target = rotation_target(req.alpha, req.beta)
     return RotationResult(
@@ -273,12 +279,11 @@ def branch_verify(alpha: float, beta: float, tol: float = 1e-9):
 
 
 def _branch_formula(alpha: float, beta: float, s2: int, s3: int) -> StateVector:
-    out = rotation_target(alpha, ((-1) ** s2) * beta)
-    if s2:
-        out = apply_unitary(out, PAULI_Z, (1,))
-    if s3:
-        out = apply_unitary(out, PAULI_X, (1,))
-    return out
+    out = rotation_target(alpha, ((-1) ** s2) * beta).amplitudes
+    for flip, u in zip((s2, s3), _BYPRODUCTS):
+        if flip:
+            out = u @ out
+    return StateVector(1, out)
 
 
 @dataclass(frozen=True)

@@ -78,13 +78,19 @@ class LifetimePoint:
 
 def coherence_retention(t: float, params: StorageNoiseParams) -> float:
     """gamma(t): off-diagonal retention factor, clamped to [0, 1]."""
-    if t < 0:
-        raise ValueError(f"storage time must be >= 0, got {t}")
-    if params.envelope == "gaussian":
-        env = math.exp(-((t / params.tau) ** 2))
-    else:
-        env = math.exp(-t / params.tau)
-    g = env * (1.0 - params.osc_amp * (1.0 - math.cos(params.osc_freq * t)) / 2.0)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"storage time must be finite and >= 0, got {t}")
+    phase = params.osc_freq * t
+    if not math.isfinite(phase):
+        raise ValueError(f"modulation phase osc_freq * t must be finite, got {phase}")
+    try:
+        if params.envelope == "gaussian":
+            env = math.exp(-((t / params.tau) ** 2))
+        else:
+            env = math.exp(-t / params.tau)
+    except OverflowError:  # (t / tau)^2 beyond the float range: nothing retained
+        env = 0.0
+    g = env * (1.0 - params.osc_amp * (1.0 - math.cos(phase)) / 2.0)
     return min(max(g, 0.0), 1.0)
 
 
@@ -243,7 +249,11 @@ def calibrate(
             residual=float("inf"),
         )
 
-    exponent_ratio = (t2 / t1) ** (2 if envelope == "gaussian" else 1)
+    try:
+        exponent_ratio = (t2 / t1) ** (2 if envelope == "gaussian" else 1)
+    except OverflowError:
+        raise CalibrationError(f"target times {t1} and {t2} us are too far apart",
+                               residual=float("inf")) from None
 
     def mismatch(scale: float):
         """log-gamma consistency of the two implied retentions; None if infeasible."""

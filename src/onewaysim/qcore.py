@@ -45,6 +45,8 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def _as_complex_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")
     arr.setflags(write=False)
     return arr
 

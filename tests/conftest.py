@@ -5,9 +5,19 @@ import math
 
 import numpy as np
 
-from onewaysim.cluster import evaluate_witness
+from onewaysim.cluster import CONDITIONAL_PHASE, evaluate_witness, prepare_hyper
+from onewaysim.mbqc import LIN3_ORDER
 from onewaysim.noise import coherence_retention
-from onewaysim.qcore import QuantumChannel, apply_channel
+from onewaysim.qcore import (
+    HADAMARD,
+    QuantumChannel,
+    StateVector,
+    apply_channel,
+    apply_unitary,
+    permute_qubits,
+    project,
+    tensor,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,6 +86,14 @@ def random_unitary(n, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_density_matrix(n, seed):
+    """Full-rank random state: G G^dagger / tr for a complex Gaussian G."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def aligned_distance(a, b):
     """Phase-align b onto a at a's largest amplitude, then max-abs distance."""
     k = int(np.argmax(np.abs(a)))
@@ -121,3 +139,22 @@ def bisect_retention(rho0, target, iters=42):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ------------------------------------------------- composed-primitive oracles
+
+def composed_cluster(params):
+    """The cluster as the conditional phase applied to prepare_hyper by kron embedding."""
+    return apply_unitary(prepare_hyper(params), CONDITIONAL_PHASE, (1, 2))
+
+
+def composed_lin3(state, outcome):
+    """The lin3 reduction step by step: permute to LIN3_ORDER, H x H on (1, 4),
+    project qubit 1 onto ``outcome``; (normalised ket or matrix, probability)."""
+    s = permute_qubits(state, LIN3_ORDER)
+    s = apply_unitary(s, tensor([HADAMARD, HADAMARD]), (1, 4))
+    if isinstance(s, StateVector):
+        reduced, prob = project(s.amplitudes, 4, 1, I2[outcome])
+        return reduced / math.sqrt(prob), prob
+    reduced, prob = project(s.entries, 4, 1, I2[outcome])
+    return reduced / prob, prob

@@ -237,6 +237,15 @@ def test_stdout_when_no_out(capsys):
      "--optical-propagation", "0", "--signal-processing", "0"],
     ["rotate", "--seed", "99999999999999999999"],
     ["rotate", "--seed", str(2**64)],
+    ["rotate", "--shots", "100000000000000000000"],
+    ["rotate", "--shots", str(2**63)],
+    ["tomography", "--shots", str(10**20)],
+    ["rotate", "--alpha", "inf"],
+    ["rotate", "--beta=-inf"],
+    ["witness", "--tau", "3", "--storage-time", "inf"],
+    ["rotate", "--tau", "5", "--storage-time", "1", "--osc-amp", "0.5", "--osc-freq", "inf"],
+    ["rotate", "--tau", "5", "--storage-time", "10", "--osc-amp", "0.5", "--osc-freq", "1e308"],
+    ["lifetime", "--tau", "5", "--osc-amp", "0.5", "--osc-freq", "1e308"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -247,6 +256,24 @@ def test_bad_values_exit_2(argv, tmp_path, capsys):
 def test_largest_seed_accepted(tmp_path):
     assert main(["rotate", "--shots", "10", "--seed", str(2**64 - 1),
                  "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_largest_shots_accepted(tmp_path):
+    assert main(["rotate", "--shots", str(2**63 - 1), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_far_apart_calibration_targets_exit_3(tmp_path, capsys):
+    code = main(["lifetime", "--calibrated", "--target-t2", "1e308",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
+def test_overflowing_storage_ratio_is_full_dephasing(tmp_path):
+    out = tmp_path / "w.json"
+    assert main(["witness", "--tau", "1e-100", "--storage-time", "1e100", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["genuinely_entangled"] is False
 
 
 def test_lifetime_grid_cap_exit_2(tmp_path, capsys):
@@ -327,6 +354,37 @@ def test_parser_keeps_option_strings():
     assert {s for a in parser._actions for s in a.option_strings} == PARSER_OPTION_STRINGS
 
 
+def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
+    import onewaysim.cli as cli
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scenario=rotate\nalpha=pi/4\nshots=5\nfeedforward=false\n")
+    argvs = [
+        ["rotate", "--alpha", "pi/2", "--shots", "10", "--no-feedforward", "--seed", "3"],
+        ["sweep", "--mode", "rx", "--per-branch", "--tau", "3", "--storage-time", "1"],
+        ["--config", str(cfg), "--beta", "0.5"],
+        ["--config", str(cfg)],
+        ["witness"],
+    ]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh.append(cli.parse_args(argv))
+    monkeypatch.undo()
+    assert [cli.parse_args(argv) for argv in argvs] == fresh
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_parser_built_on_first_parse_not_at_import():
+    script = ("import onewaysim.cli as cli\n"
+              "assert cli._shared_parser.cache_info().currsize == 0\n"
+              "cli.parse_args(['budget'])\n"
+              "assert cli._shared_parser.cache_info().currsize == 1\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_flag_and_file_coerce_alike(tmp_path):
     from dataclasses import fields
 
@@ -395,5 +453,5 @@ def test_parse_args_fuzz(argv, entries, extra):
             assert exc.code == 2
             return
     assert isinstance(config, ScenarioConfig)
-    assert not any(isinstance(v, float) and math.isnan(v) for v in vars(config).values())
+    assert all(math.isfinite(v) for v in vars(config).values() if isinstance(v, float))
     assert 0 <= config.seed < 2**64

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onewaysim.cluster import (
+    CONDITIONAL_PHASE,
     IDEAL_PREP,
     PreparationParams,
     WitnessReport,
@@ -14,16 +15,24 @@ from onewaysim.cluster import (
     witness_operator,
     witness_stabilizer_terms,
     WITNESS_PAULI_STRINGS,
+    hyper_statevector,
 )
 from onewaysim.qcore import (
     apply_channel,
+    apply_unitary,
     density,
     expectation,
     fidelity,
     maximally_mixed,
     permute_qubits,
 )
-from conftest import c4_vector, kron_chain, pair_dephasing_channel, pauli_matrix
+from conftest import (
+    c4_vector,
+    composed_cluster,
+    kron_chain,
+    pair_dephasing_channel,
+    pauli_matrix,
+)
 
 
 def bell(theta=0.0):
@@ -89,6 +98,29 @@ def test_prepare_cluster_ideal_amplitudes():
 
 def test_cluster_statevector_matches_handwritten_kets():
     assert np.abs(cluster_statevector().amplitudes - c4_vector()).max() < 1e-12
+
+
+_PREP_PARAMS = dict(
+    theta=st.floats(-2 * np.pi, 2 * np.pi),
+    imbalance=st.floats(0.01, 10.0),
+    spatial_white_noise=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PREP_PARAMS)
+def test_prepare_cluster_matches_composed_oracle(theta, imbalance, spatial_white_noise):
+    params = PreparationParams(theta, imbalance, spatial_white_noise)
+    oracle = composed_cluster(params)
+    assert np.abs(prepare_cluster(params).entries - oracle.entries).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=_PREP_PARAMS["theta"], imbalance=_PREP_PARAMS["imbalance"])
+def test_cluster_statevector_matches_composed_oracle(theta, imbalance):
+    oracle = apply_unitary(hyper_statevector(theta, imbalance), CONDITIONAL_PHASE, (1, 2))
+    assert np.abs(cluster_statevector(theta, imbalance).amplitudes
+                  - oracle.amplitudes).max() <= 1e-12
 
 
 def test_prepare_cluster_ideal_fidelity_one():

@@ -29,6 +29,7 @@ from onewaysim.noise import StorageNoiseParams, calibrate
 from onewaysim.qcore import (
     PAULI_X,
     PAULI_Z,
+    DensityMatrix,
     StateVector,
     apply_unitary,
     density,
@@ -36,7 +37,12 @@ from onewaysim.qcore import (
     maximally_mixed,
     states_equal,
 )
-from conftest import aligned_distance
+from conftest import (
+    aligned_distance,
+    composed_lin3,
+    random_density_matrix,
+    random_state_vector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,30 @@ def test_to_lin3_outcome_one_differs_by_local_z():
     corrected = apply_unitary(std, PAULI_Z, (1,))
     assert states_equal(alt, corrected, tol=1e-12)
     assert alt_prob == pytest.approx(0.5, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), outcome=st.sampled_from([0, 1]))
+def test_to_lin3_matches_composed_oracle_on_random_states(seed, outcome):
+    psi = StateVector(4, random_state_vector(4, seed))
+    rho = DensityMatrix(4, random_density_matrix(4, seed))
+    for state, values in ((psi, "amplitudes"), (rho, "entries")):
+        reduced, prob = to_lin3(state, outcome)
+        oracle, oracle_prob = composed_lin3(state, outcome)
+        assert np.abs(getattr(reduced, values) - oracle).max() <= 1e-12
+        assert abs(prob - oracle_prob) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.floats(-2 * np.pi, 2 * np.pi), imbalance=st.floats(0.01, 10.0),
+       spatial_white_noise=st.floats(0.0, 1.0), outcome=st.sampled_from([0, 1]))
+def test_to_lin3_matches_composed_oracle_on_clusters(theta, imbalance, spatial_white_noise,
+                                                     outcome):
+    rho = prepare_cluster(PreparationParams(theta, imbalance, spatial_white_noise))
+    reduced, prob = to_lin3(rho, outcome)
+    oracle, oracle_prob = composed_lin3(rho, outcome)
+    assert np.abs(reduced.entries - oracle).max() <= 1e-12
+    assert abs(prob - oracle_prob) <= 1e-12
 
 
 def test_to_lin3_rejects_bad_outcome():
@@ -219,6 +249,20 @@ def test_calibrated_quarter_rotation_in_band(calibrated_noise):
         RotationRequest(alpha=math.pi / 4, beta=math.pi / 4, noise=calibrated_noise)
     )
     assert 0.80 <= result.fidelity <= 1.0
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_noisy_rotation_validates_only_returned_states(shots, monkeypatch):
+    noise = RotationNoise(prep=PreparationParams(imbalance=0.446333, spatial_white_noise=0.066685),
+                          storage=StorageNoiseParams(tau=20.8212), storage_time=7.5)
+    request = RotationRequest(alpha=0.3, beta=1.1, shots=shots, noise=noise)
+    calls, check = [], DensityMatrix.__post_init__  # each construction runs the full check
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: (calls.append(self.n_qubits), check(self)))
+    result = run_rotation(request, RandomSource(5))
+    # cluster, stored cluster, lin3, four branch states, corrected output
+    assert len(calls) <= 8, calls
+    assert all(isinstance(b.state, DensityMatrix) for b in result.branch_outputs.values())
 
 
 def test_rotation_request_validation():

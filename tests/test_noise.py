@@ -69,6 +69,21 @@ def test_negative_time_rejected():
         coherence_retention(-0.1, StorageNoiseParams(tau=1.0))
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ValueError, match="finite"):
+        coherence_retention(t, StorageNoiseParams(tau=1.0))
+
+
+def test_overflowing_modulation_phase_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        coherence_retention(10.0, StorageNoiseParams(tau=5.0, osc_amp=0.5, osc_freq=1e308))
+
+
+def test_overflowing_time_ratio_dephases_fully():
+    assert coherence_retention(1e100, StorageNoiseParams(tau=1e-100)) == 0.0
+
+
 def test_midpoint_retention_matches_kraus_oracle():
     # apply to |+><+| on each memory qubit and read the off-diagonal
     params = StorageNoiseParams(tau=3.0, osc_amp=0.2, osc_freq=0.7)

@@ -69,6 +69,24 @@ def test_channel_rejects_non_trace_preserving():
         QuantumChannel((0.5 * I2,))
 
 
+@pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [np.inf, 0.0], [1.0, 1j * np.nan]])
+def test_state_vector_rejects_non_finite(amplitudes):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(1, np.array(amplitudes, dtype=complex))
+
+
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0], [0, 1]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+    np.full((16, 16), np.nan),  # failed only inside the eigensolver
+])
+def test_density_matrix_rejects_non_finite(entries):
+    m = np.array(entries, dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(int(np.log2(len(m))), m)
+
+
 def test_register_size_cap():
     with pytest.raises(ValueError):
         StateVector(9, np.zeros(512))
