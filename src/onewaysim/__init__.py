@@ -13,7 +13,6 @@ from .qcore import (
     ObservableOperator,
     QuantumChannel,
     StateVector,
-    Tolerances,
     UnitaryOperator,
     apply_channel,
     apply_unitary,

@@ -252,30 +252,30 @@ def _calibration_targets(config: ScenarioConfig) -> dict:
 
 
 def _resolve_model(config: ScenarioConfig):
-    """(prep, storage_noise or None, storage_time) from the configuration."""
+    """(prep, storage_noise or None, storage_time) from the configuration; the
+    modulation flags apply on top of the calibrated or the ``--tau`` envelope."""
     if config.calibrated:
+        if config.tau is not None:
+            raise ConfigError("--calibrated fits tau; it cannot be combined with --tau")
         result = noise.calibrate(_calibration_targets(config), envelope=config.envelope)
+        prep, tau = result.prep, result.noise.tau
         t = config.storage_time if config.storage_time > 0 else config.target_t1
-        return result.prep, result.noise, t
+    else:
+        try:
+            prep = cluster.PreparationParams(theta=config.theta, imbalance=config.imbalance,
+                                             spatial_white_noise=config.spatial_white_noise)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if config.noiseless or config.ideal or config.tau is None:
+            return prep, None, 0.0
+        tau, t = config.tau, config.storage_time
     try:
-        prep = cluster.PreparationParams(
-            theta=config.theta,
-            imbalance=config.imbalance,
-            spatial_white_noise=config.spatial_white_noise,
-        )
+        storage = noise.StorageNoiseParams(tau=tau, osc_amp=config.osc_amp,
+                                           osc_freq=config.osc_freq, envelope=config.envelope)
+        noise.coherence_retention(t, storage)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.noiseless or config.ideal or config.tau is None:
-        return prep, None, 0.0
-    try:
-        storage = noise.StorageNoiseParams(
-            tau=config.tau, osc_amp=config.osc_amp,
-            osc_freq=config.osc_freq, envelope=config.envelope,
-        )
-        noise.coherence_retention(config.storage_time, storage)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return prep, storage, config.storage_time
+    return prep, storage, t
 
 
 def _state_for(config: ScenarioConfig):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .cluster import PreparationParams, cluster_statevector, prepare_cluster
-from .measure import RandomSource, _as_generator, basis_vectors, MeasurementBasis
+from .measure import MeasurementBasis, RandomSource, _as_generator, basis_vectors, measure_qubit
 from .noise import StorageNoiseParams, apply_storage
 from .qcore import (
     HADAMARD,
@@ -233,22 +233,16 @@ def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
     )
 
 
-def _sample_first(gen, entries: np.ndarray, n: int, angle: float):
-    """Born-sample qubit 1 in B(angle); (outcome, normalised remaining state)."""
-    branches = [project(entries, n, 1, _equatorial_bra(angle, s)) for s in (0, 1)]
-    (_, p0), (_, p1) = branches
-    outcome = 0 if gen.random() < p0 / (p0 + p1) else 1
-    mat, p = branches[outcome]
-    return outcome, mat / p
-
-
 def single_shot_trace(req: RotationRequest, rng) -> FeedforwardTrace:
-    """One sequential shot through the protocol, recording the event order."""
+    """One sequential shot through the protocol, recording the event order.
+
+    Both outcomes are Born draws of ``measure_qubit`` from one shared stream.
+    """
     gen = _as_generator(rng)
     lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
-    s2, mid = _sample_first(gen, lin3.entries, 3, req.alpha)
+    s2, _, mid = measure_qubit(lin3, 1, MeasurementBasis.equatorial(req.alpha), gen)
     beta_eff = ((-1) ** s2) * req.beta if req.feedforward_enabled else req.beta
-    s3, _ = _sample_first(gen, mid, 2, beta_eff)
+    s3 = measure_qubit(mid, 2, MeasurementBasis.equatorial(beta_eff), gen).outcome
 
     z_pow = s2 if req.feedforward_enabled else 0
     x_pow = s3 if req.feedforward_enabled else 0

@@ -25,22 +25,13 @@ import numpy as np
 MAX_QUBITS = 8
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances for the structural invariants of each type.
-
-    Every constructor checks against ``DEFAULT_TOLERANCES``.
-    """
-
-    norm: float = 1e-12
-    hermitian: float = 1e-10
-    trace: float = 1e-10
-    psd: float = 1e-9
-    unitary: float = 1e-10
-    channel: float = 1e-10
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Tolerances of the structural invariants that the constructors check.
+NORM_TOL = 1e-12
+HERMITIAN_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-9
+UNITARY_TOL = 1e-10
+CHANNEL_TOL = 1e-10
 
 
 def _as_complex_array(values) -> np.ndarray:
@@ -81,7 +72,7 @@ class StateVector:
                 f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > DEFAULT_TOLERANCES.norm:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -95,13 +86,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _square_matrix(self.n_qubits, self.entries)
-        if np.abs(m - m.conj().T).max() > DEFAULT_TOLERANCES.hermitian:
+        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DEFAULT_TOLERANCES.trace:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
         min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -DEFAULT_TOLERANCES.psd:
+        if min_eig < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "entries", m)
 
@@ -119,7 +110,7 @@ class UnitaryOperator:
 
     def __post_init__(self):
         m = _square_matrix(self.n_qubits, self.entries)
-        if np.abs(m.conj().T @ m - np.eye(len(m))).max() > DEFAULT_TOLERANCES.unitary:
+        if np.abs(m.conj().T @ m - np.eye(len(m))).max() > UNITARY_TOL:
             raise ValueError("matrix is not unitary within tolerance")
         object.__setattr__(self, "entries", m)
 
@@ -136,7 +127,7 @@ class ObservableOperator:
 
     def __post_init__(self):
         m = _square_matrix(self.n_qubits, self.entries)
-        if np.abs(m - m.conj().T).max() > DEFAULT_TOLERANCES.hermitian:
+        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("observable is not Hermitian within tolerance")
         object.__setattr__(self, "entries", m)
 
@@ -156,7 +147,7 @@ class QuantumChannel:
             if k.shape != (d, d):
                 raise ValueError("Kraus operators must share one square dimension")
         total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - np.eye(d)).max() > DEFAULT_TOLERANCES.channel:
+        if np.abs(total - np.eye(d)).max() > CHANNEL_TOL:
             raise ValueError("channel is not trace-preserving within tolerance")
         n = int(round(np.log2(d)))
         if 2**n != d:

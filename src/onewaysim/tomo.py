@@ -8,18 +8,16 @@ positive semidefinite and unit trace by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cluster import CONDITIONAL_PHASE, cluster_statevector
+from .cluster import _PHASE_MASK, cluster_statevector
 from .measure import CountTable, outcome_kets
 from .qcore import (
     DensityMatrix,
     StateVector,
-    apply_unitary,
     fidelity,
     partial_trace,
     rho_to_entry_list,
@@ -34,14 +32,13 @@ class IncompleteSettingsError(ValueError):
 class MLConfig:
     """Optimizer knobs.
 
-    ll_tolerance is the per-shot mean log-likelihood improvement below which
-    the iteration stops; regularizer is added to the diagonal of the initial
-    Cholesky factor to keep the starting point strictly positive.
+    max_iterations caps the RρR steps; ll_tolerance is the per-shot mean
+    log-likelihood improvement below which the iteration stops.  The start
+    state is always the maximally mixed I/d.
     """
 
     max_iterations: int = 2000
     ll_tolerance: float = 1e-10
-    regularizer: float = 1e-6
 
     def __post_init__(self):
         if not self.ll_tolerance > 0:
@@ -65,14 +62,15 @@ class TomographyReport:
     ll_history: tuple
 
 
-def _check_informationally_complete(settings, dim: int) -> None:
-    rows = []
-    for setting in settings:
-        kets = outcome_kets(setting)
-        for v in kets:
-            rows.append(np.outer(v, v.conj()).reshape(-1))
-    design = np.array(rows)
-    rank = np.linalg.matrix_rank(design, tol=1e-10)
+def _design_matrix(kets: np.ndarray) -> np.ndarray:
+    """Row k is the flattened projector |v_k><v_k| of the stacked ket v_k: one
+    broadcast product, which rounds exactly as ``np.outer`` does."""
+    return (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
+
+
+def _check_informationally_complete(kets: np.ndarray, dim: int) -> None:
+    """Raise unless the outcome projectors span the dim x dim operator space."""
+    rank = np.linalg.matrix_rank(_design_matrix(kets), tol=1e-10)
     if rank < dim * dim:
         raise IncompleteSettingsError(
             f"settings span rank {rank} < {dim * dim}; reconstruction would be underdetermined"
@@ -92,23 +90,18 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
     if any(t.setting.n_qubits != n for t in tables):
         raise ValueError("all count tables must cover the same register size")
     d = 2**n
-    _check_informationally_complete([t.setting for t in tables], d)
+    ket_tables = [outcome_kets(t.setting) for t in tables]  # row o = ket of outcome o
+    _check_informationally_complete(np.concatenate(ket_tables), d)
 
     kets = []
     counts = []
-    for t in tables:
-        rows = outcome_kets(t.setting)
+    for t, rows in zip(tables, ket_tables):
         for bits, c in t.counts.items():
             kets.append(rows[int(bits, 2)])
             counts.append(float(c))
     v = np.array(kets)  # (K, d), row k = ket of observed outcome k
     ns = np.array(counts)
     n_total = float(ns.sum())
-
-    # rho = T^dag T / tr with T the regularized maximally mixed factor.
-    t0 = (1.0 / math.sqrt(d) + cfg.regularizer) * np.eye(d, dtype=np.complex128)
-    rho = t0.conj().T @ t0
-    rho /= np.trace(rho).real
 
     def probs_of(r):
         p = np.real(np.einsum("ki,ij,kj->k", v.conj(), r, v))
@@ -117,39 +110,36 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
     def ll_of(p):
         return float(ns @ np.log(p))
 
+    def step(op, r):
+        """op r op normalised, with its outcome probabilities and log-likelihood."""
+        out = op @ r @ op
+        out = (out + out.conj().T) / 2.0
+        out /= np.trace(out).real
+        p = probs_of(out)
+        return out, p, ll_of(p)
+
+    eye = np.eye(d, dtype=np.complex128)
+    rho = eye / d
     p = probs_of(rho)
     ll = ll_of(p)
     history = [ll]
     converged = False
     iterations = 0
-    eye = np.eye(d, dtype=np.complex128)
 
     for iterations in range(1, cfg.max_iterations + 1):
         w = ns / (n_total * p)
         r_op = (v.T * w) @ v.conj()
-        candidate = r_op @ rho @ r_op
-        candidate = (candidate + candidate.conj().T) / 2.0
-        candidate /= np.trace(candidate).real
-        p_new = probs_of(candidate)
-        ll_new = ll_of(p_new)
-
+        candidate, p_new, ll_new = step(r_op, rho)
         if ll_new < ll:
             # Dilute the step until the likelihood improves; R is an ascent
             # direction so a small enough step always does.
-            accepted = False
             eps = 0.5
             while eps > 1e-8:
-                r_d = (eye + eps * r_op) / (1.0 + eps)
-                candidate = r_d @ rho @ r_d
-                candidate = (candidate + candidate.conj().T) / 2.0
-                candidate /= np.trace(candidate).real
-                p_new = probs_of(candidate)
-                ll_new = ll_of(p_new)
+                candidate, p_new, ll_new = step((eye + eps * r_op) / (1.0 + eps), rho)
                 if ll_new >= ll:
-                    accepted = True
                     break
                 eps /= 2.0
-            if not accepted:
+            else:
                 converged = True
                 break
 
@@ -178,8 +168,10 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
 
 
 def undo_conditional_phase(rho: DensityMatrix) -> DensityMatrix:
-    """Invert the cluster's conditional phase, recovering the pre-phase state."""
-    return apply_unitary(rho, CONDITIONAL_PHASE, (1, 2))
+    """Invert the cluster's conditional phase (a self-inverse +-1 sign mask)."""
+    if rho.n_qubits != 4:
+        raise ValueError("the conditional phase acts on the 4-qubit cluster")
+    return DensityMatrix(4, rho.entries * _PHASE_MASK)
 
 
 _BELL_PLUS = StateVector(2, np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2.0))

@@ -7,6 +7,7 @@ import numpy as np
 
 from onewaysim.cluster import CONDITIONAL_PHASE, evaluate_witness, prepare_hyper
 from onewaysim.mbqc import LIN3_ORDER
+from onewaysim.measure import outcome_kets
 from onewaysim.noise import coherence_retention
 from onewaysim.qcore import (
     HADAMARD,
@@ -158,3 +159,20 @@ def composed_lin3(state, outcome):
         return reduced / math.sqrt(prob), prob
     reduced, prob = project(s.entries, 4, 1, I2[outcome])
     return reduced / prob, prob
+
+
+def composed_undo_phase(rho):
+    """The conditional phase undone by kron embedding of its 2-qubit unitary."""
+    return apply_unitary(rho, CONDITIONAL_PHASE, (1, 2))
+
+
+# ----------------------------------------------------------- tomography design
+
+def loop_design_matrix(settings):
+    """Tomography design matrix row by row: one flattened np.outer per
+    outcome ket of each setting, settings in order."""
+    rows = []
+    for setting in settings:
+        for v in outcome_kets(setting):
+            rows.append(np.outer(v, v.conj()).reshape(-1))
+    return np.array(rows)

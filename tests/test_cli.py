@@ -246,11 +246,32 @@ def test_stdout_when_no_out(capsys):
     ["rotate", "--tau", "5", "--storage-time", "1", "--osc-amp", "0.5", "--osc-freq", "inf"],
     ["rotate", "--tau", "5", "--storage-time", "10", "--osc-amp", "0.5", "--osc-freq", "1e308"],
     ["lifetime", "--tau", "5", "--osc-amp", "0.5", "--osc-freq", "1e308"],
+    # The calibrated model takes the same modulation checks and fits tau itself.
+    ["witness", "--calibrated", "--storage-time", "3", "--osc-amp", "0.5", "--osc-freq", "1e308"],
+    ["witness", "--calibrated", "--storage-time", "3", "--tau", "3"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_calibrated_applies_modulation_flags(tmp_path):
+    from dataclasses import replace
+
+    from onewaysim.cluster import evaluate_witness, prepare_cluster
+    from onewaysim.noise import apply_storage, calibrate
+
+    argv = ["witness", "--calibrated", "--storage-time", "3"]
+    plain, modulated = tmp_path / "plain.json", tmp_path / "modulated.json"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--osc-amp", "0.5", "--osc-freq", "2", "--out", str(modulated)]) == 0
+    cal = calibrate()
+    storage = replace(cal.noise, osc_amp=0.5, osc_freq=2.0)
+    expected = evaluate_witness(apply_storage(prepare_cluster(cal.prep), 3.0, storage))
+    bound = json.loads(modulated.read_text())["bound"]
+    assert bound == expected.fidelity_lower_bound
+    assert bound != json.loads(plain.read_text())["bound"]
 
 
 def test_largest_seed_accepted(tmp_path):

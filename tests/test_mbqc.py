@@ -324,6 +324,23 @@ def test_single_shot_trace_without_feedforward():
     assert trace.z_power == 0 and trace.x_power == 0
 
 
+@pytest.mark.parametrize("feedforward", [True, False])
+def test_single_shot_frequencies_match_exact_branches(feedforward):
+    # An imbalanced source makes the branch weights unequal (about 0.43 and 0.07).
+    prep = PreparationParams(theta=0.9, imbalance=0.3, spatial_white_noise=0.1)
+    req = RotationRequest(alpha=0.7, beta=1.9, feedforward_enabled=feedforward,
+                          noise=RotationNoise(prep))
+    shots = 2000
+    counts = {}
+    for seed in range(shots):
+        trace = single_shot_trace(req, RandomSource(seed))
+        counts[(trace.s2, trace.s3)] = counts.get((trace.s2, trace.s3), 0) + 1
+    for branch, out in run_rotation(req).branch_outputs.items():
+        p = out.probability
+        # Multinomial marginal: within 4.5 standard deviations of shots * p.
+        assert abs(counts.get(branch, 0) - shots * p) <= 4.5 * math.sqrt(shots * p * (1 - p))
+
+
 # -------------------------------------------------------------------- sweeps
 
 def test_noiseless_rx_sweep_all_ones():

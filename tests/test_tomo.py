@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from onewaysim import tomo
 from onewaysim.cluster import (
     IDEAL_PREP,
     PreparationParams,
@@ -11,13 +14,16 @@ from onewaysim.cluster import (
 )
 from onewaysim.measure import (
     CountTable,
+    MeasurementBasis,
     MeasurementSetting,
     RandomSource,
+    outcome_kets,
     pauli_settings,
     sample_counts,
 )
 from onewaysim.noise import apply_storage, calibrate
 from onewaysim.qcore import (
+    DensityMatrix,
     computational_ket,
     density,
     fidelity,
@@ -32,6 +38,7 @@ from onewaysim.tomo import (
     rho_to_entry_list,
     undo_conditional_phase,
 )
+from conftest import composed_undo_phase, loop_design_matrix, random_density_matrix
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +103,54 @@ def test_incomplete_settings_rejected():
     tables = exact_tables_for_zero()[:2]  # X and Y only: rank 3 < 4
     with pytest.raises(IncompleteSettingsError):
         reconstruct(tables)
+    # 80 of the 81 Pauli settings: only the string XXXX is missing, rank 255.
+    tables = [CountTable(s, 1, {"0000": 1}) for s in pauli_settings(4)[1:]]
+    with pytest.raises(IncompleteSettingsError, match="rank 255 < 256"):
+        reconstruct(tables)
+
+
+_BASES = st.sampled_from([MeasurementBasis.pauli(c) for c in "XYZ"]) | st.floats(
+    -2 * np.pi, 2 * np.pi).map(MeasurementBasis.equatorial)
+
+
+@st.composite
+def _settings_lists(draw):
+    n = draw(st.integers(1, 3))
+    setting = st.lists(_BASES, min_size=n, max_size=n).map(MeasurementSetting)
+    return draw(st.lists(setting, min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting_list=_settings_lists())
+def test_design_matrix_equals_loop_oracle(setting_list):
+    kets = np.concatenate([outcome_kets(s) for s in setting_list])
+    assert np.array_equal(tomo._design_matrix(kets), loop_design_matrix(setting_list))
+
+
+def test_outcome_kets_built_once_per_table(monkeypatch):
+    rho = density(cluster_statevector())
+    tables = sample_counts(rho, pauli_settings(4), 100, RandomSource(2))
+    calls = []
+
+    def counting(setting):
+        calls.append(setting)
+        return outcome_kets(setting)
+
+    monkeypatch.setattr(tomo, "outcome_kets", counting)
+    reconstruct(tables, MLConfig(max_iterations=2))
+    assert len(calls) == len(tables) == 81
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_undo_conditional_phase_matches_kron_oracle(seed):
+    rho = DensityMatrix(4, random_density_matrix(4, seed))
+    assert np.array_equal(undo_conditional_phase(rho).entries, composed_undo_phase(rho).entries)
+
+
+def test_undo_conditional_phase_needs_four_qubits():
+    with pytest.raises(ValueError):
+        undo_conditional_phase(density(computational_ket("000")))
 
 
 def test_noisy_state_fidelity_tracks_truth(calibrated):
