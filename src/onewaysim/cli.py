@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 
 
 def _opt(default, **meta):
-    """A ScenarioConfig field with parser metadata: ``help``, ``choices``,
+    """A ScenarioConfig field with parser metadata: ``help``, ``choices``, ``aliases``,
     ``angle`` (accepts pi forms) and ``noise`` (allowed in a noise file)."""
     return field(default=default, metadata=meta)
 
@@ -66,8 +66,7 @@ class ScenarioConfig:
     theta: float = _opt(0.0, angle=True, noise=True)
     imbalance: float = _opt(1.0, noise=True)
     spatial_white_noise: float = _opt(0.0, noise=True)
-    ideal: bool = _opt(False, help="ideal preparation (the default)")
-    noiseless: bool = _opt(False, help="alias of --ideal")
+    ideal: bool = _opt(False, aliases=("--noiseless",), help="no preparation or storage noise")
     calibrated: bool = _opt(False, help="use the calibrated noise model")
     # storage noise
     tau: Optional[float] = _opt(None, noise=True)
@@ -82,16 +81,16 @@ class ScenarioConfig:
     # lifetime grid and calibration targets
     t_max: float = 25.0
     t_step: float = 0.5
-    target_t1: float = 2.27
-    target_f1: float = 0.80
-    target_t2: float = 14.27
-    target_f2: float = 0.50
+    target_t1: float = min(noise.DEFAULT_CALIBRATION_TARGETS)
+    target_f1: float = noise.DEFAULT_CALIBRATION_TARGETS[target_t1]
+    target_t2: float = max(noise.DEFAULT_CALIBRATION_TARGETS)
+    target_f2: float = noise.DEFAULT_CALIBRATION_TARGETS[target_t2]
     # latency budget
-    eom_response: float = 1.56
-    optical_propagation: float = 0.02
-    signal_processing: float = 0.11
-    storage_before_first_readout: float = 2.27
-    coherence_time: float = 14.27
+    eom_response: float = timing.REFERENCE_BUDGET.eom_response
+    optical_propagation: float = timing.REFERENCE_BUDGET.optical_propagation
+    signal_processing: float = timing.REFERENCE_BUDGET.signal_processing
+    storage_before_first_readout: float = timing.REFERENCE_BUDGET.storage_before_first_readout
+    coherence_time: float = timing.REFERENCE_BUDGET.coherence_time
 
 
 def parse_angle(text: str) -> float:
@@ -133,6 +132,7 @@ _HINTS = get_type_hints(ScenarioConfig)
 _FIELD_KINDS = {f.name: _kind(f, _HINTS) for f in _FIELDS}
 _CHOICES = {f.name: f.metadata["choices"] for f in _FIELDS if "choices" in f.metadata}
 _NOISE_FILE_KEYS = {f.name for f in _FIELDS if f.metadata.get("noise")}
+_DEFAULTS = {f.name: f.default for f in _FIELDS}
 
 
 def _coerce(key: str, raw) -> object:
@@ -168,7 +168,11 @@ def _flag_kwargs(f) -> dict:
     return kwargs
 
 
-_FLAGS = tuple(("--" + f.name.replace("_", "-"), _flag_kwargs(f)) for f in _FIELDS)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+_FLAGS = tuple(((_flag(f.name), *f.metadata.get("aliases", ())), _flag_kwargs(f)) for f in _FIELDS)
 
 
 def read_key_value_file(path: str) -> dict:
@@ -198,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario_pos", nargs="?", metavar="SCENARIO",
                         help=f"one of {', '.join(SCENARIOS)}")
     parser.add_argument("--config", help="key=value config file; flags override it")
-    for flag, kwargs in _FLAGS:
-        parser.add_argument(flag, **kwargs)
+    for flags, kwargs in _FLAGS:
+        parser.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -251,12 +255,32 @@ def _calibration_targets(config: ScenarioConfig) -> dict:
     return {config.target_t1: config.target_f1, config.target_t2: config.target_f2}
 
 
+_PREP_KEYS = ("theta", "imbalance", "spatial_white_noise")
+_STORAGE_KEYS = ("osc_amp", "osc_freq", "envelope", "storage_time")
+
+
+def _check_model_source(config: ScenarioConfig) -> None:
+    """Config error unless the model comes from one source; a field is given
+    when its value differs from its default, from a flag or a file alike."""
+    if config.ideal:
+        rule = "--ideal/--noiseless excludes {}"
+        excluded = ("calibrated", "tau", *_PREP_KEYS, *_STORAGE_KEYS)
+    elif config.calibrated:
+        rule, excluded = "--calibrated fits prep and tau; it excludes {}", ("tau", *_PREP_KEYS)
+    else:
+        rule = "{}: no storage model to apply to; pass --tau or --calibrated"
+        excluded = () if config.tau is not None else _STORAGE_KEYS
+    given = [_flag(k) for k in excluded if getattr(config, k) != _DEFAULTS[k]]
+    if given:
+        raise ConfigError(rule.format(", ".join(given)))
+
+
 def _resolve_model(config: ScenarioConfig):
-    """(prep, storage_noise or None, storage_time) from the configuration; the
-    modulation flags apply on top of the calibrated or the ``--tau`` envelope."""
+    """(prep, storage_noise or None, storage_time) from the one model source:
+    ``--ideal``, ``--calibrated`` or the explicit preparation with an optional
+    ``--tau``; the modulation flags apply on top of either envelope."""
+    _check_model_source(config)
     if config.calibrated:
-        if config.tau is not None:
-            raise ConfigError("--calibrated fits tau; it cannot be combined with --tau")
         result = noise.calibrate(_calibration_targets(config), envelope=config.envelope)
         prep, tau = result.prep, result.noise.tau
         t = config.storage_time if config.storage_time > 0 else config.target_t1
@@ -266,7 +290,7 @@ def _resolve_model(config: ScenarioConfig):
                                              spatial_white_noise=config.spatial_white_noise)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if config.noiseless or config.ideal or config.tau is None:
+        if config.tau is None:
             return prep, None, 0.0
         tau, t = config.tau, config.storage_time
     try:

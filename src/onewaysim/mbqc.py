@@ -290,13 +290,14 @@ class SweepPoint:
 
 
 SWEEP_MODES = ("rx", "rz")
+SWEEP_STEP = math.pi / 8
 
 
-def sweep(mode: str, template: RotationRequest, step: float = math.pi / 8,
-          noise_tag: Optional[str] = None, rng: Optional[RandomSource] = None) -> list:
+def sweep(mode: str, template: RotationRequest, noise_tag: Optional[str] = None,
+          rng: Optional[RandomSource] = None) -> list:
     """Fidelity of the corrected output across an angle grid.
 
-    ``rx``: alpha fixed at pi/2, beta swept over [0, 2*pi] in ``step``
+    ``rx``: alpha fixed at pi/2, beta swept over [0, 2*pi] in SWEEP_STEP
     increments; ``rz``: beta fixed at 0, alpha swept.  All other request
     fields come from ``template``.  The angle-independent lin3 cluster is built
     once; in sampled mode point i draws from ``rng.stream(i)``.
@@ -305,12 +306,12 @@ def sweep(mode: str, template: RotationRequest, step: float = math.pi / 8,
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if noise_tag is None:
         noise_tag = "noiseless" if template.noise is None else "noisy"
-    count = int(round(2 * math.pi / step)) + 1
+    count = int(round(2 * math.pi / SWEEP_STEP)) + 1
     lin3, _ = to_lin3(_cluster_for_request(template), POSTSELECT_OUTCOME)
     rng = rng or RandomSource(0)
     points = []
     for i in range(count):
-        angle = i * step
+        angle = i * SWEEP_STEP
         if mode == "rx":
             req_i = replace(template, alpha=math.pi / 2, beta=angle)
         else:

@@ -149,26 +149,27 @@ class CalibrationResult:
 POLARIZATION_FIDELITY_ANCHOR = 0.885
 SPATIAL_FIDELITY_ANCHOR = 0.955
 
+#: Largest max |bound - target| a calibrated model may have.
+RESIDUAL_LIMIT = 0.01
 
-def _prep_for_scale(scale: float, pol_anchor: float, spa_anchor: float) -> PreparationParams:
+
+def _prep_for_scale(scale: float) -> PreparationParams:
     # Bell fidelity of the imbalanced pair is (1+r)^2 / (2(1+r^2)) = (1+R)/2
-    # with R = 2r/(1+r^2); invert F -> r on the r <= 1 branch.
-    f_pol = 1.0 - scale * (1.0 - pol_anchor)
-    f_spa = 1.0 - scale * (1.0 - spa_anchor)
+    # with R = 2r/(1+r^2); invert F -> r on the r <= 1 branch.  Every scale
+    # that keeps f_pol > 1/2 keeps p_w below 1.
+    f_pol = 1.0 - scale * (1.0 - POLARIZATION_FIDELITY_ANCHOR)
+    f_spa = 1.0 - scale * (1.0 - SPATIAL_FIDELITY_ANCHOR)
     if f_pol <= 0.5:
         raise ValueError("scale drives the polarization pair below separability")
     big_r = 2.0 * f_pol - 1.0
     r = 1.0 if big_r >= 1.0 else (1.0 - math.sqrt(1.0 - big_r * big_r)) / big_r
-    p_w = 4.0 * (1.0 - f_spa) / 3.0
-    if p_w > 1.0:
-        raise ValueError("scale drives the spatial white noise above 1")
-    return PreparationParams(theta=0.0, imbalance=r, spatial_white_noise=p_w)
+    return PreparationParams(theta=0.0, imbalance=r, spatial_white_noise=4.0 * (1.0 - f_spa) / 3.0)
 
 
 #: Retentions within this distance of 0 or 1 are moved inside [0, 1]: a
-#: retention of exactly 0 or 1 has no finite decay constant, so the callers
-#: reject it.  2^-43 is the resolution of a 42-step bisection on [0, 1] (the
-#: test oracle), so a target on an edge resolves as it does there.
+#: retention of exactly 0 or 1 has no finite decay constant.  2^-43 is the
+#: resolution of a 42-step bisection on [0, 1] (the test oracle), so a target
+#: on an edge resolves as it does there.
 _EDGE_RETENTION = 2.0**-43
 
 
@@ -182,7 +183,8 @@ def _solve_retention(knots: tuple, target: float):
     """Retention gamma with bound(gamma) = target, or None if out of range.
 
     ``knots`` are the state's ``_bound_knots``, so one state costs three
-    witness evaluations however many targets it is solved for.
+    witness evaluations however many targets it is solved for.  A returned
+    gamma lies in [2^-43, 1 - 2^-43].
     """
     b0, bh, b1 = knots
     if target > b1 + 1e-12 or target < b0 - 1e-12:
@@ -202,22 +204,16 @@ def _solve_retention(knots: tuple, target: float):
     return min(max(root, _EDGE_RETENTION), 1.0 - _EDGE_RETENTION)
 
 
-def calibrate(
-    targets: dict | None = None,
-    *,
-    pol_anchor: float = POLARIZATION_FIDELITY_ANCHOR,
-    spa_anchor: float = SPATIAL_FIDELITY_ANCHOR,
-    envelope: str = "gaussian",
-    residual_limit: float = 0.01,
-) -> CalibrationResult:
+def calibrate(targets: dict | None = None, *, envelope: str = "gaussian") -> CalibrationResult:
     """Fit (imbalance, white noise, tau) to witness-bound targets.
 
     ``targets`` maps storage time (us) to the desired fidelity bound; the
     default asks for 0.80 at 2.27 us and 0.50 at 14.27 us.  Preparation
-    imperfection is scaled along the anchor split and tau follows from the
-    envelope; the returned residual is the max absolute target error of the
-    full simulation pipeline.  Raises CalibrationError when the targets cannot
-    be met (e.g. a bound that increases with time).
+    imperfection is scaled along the anchor split until two targets imply one
+    decay constant (it stays ideal for one target, or when even ideal
+    preparation decays too slowly between the two); tau then puts the bound on
+    the first target.  The residual is the max absolute target error of the
+    full simulation pipeline; above RESIDUAL_LIMIT, CalibrationError carries it.
     """
     if targets is None:
         targets = dict(DEFAULT_CALIBRATION_TARGETS)
@@ -231,10 +227,27 @@ def calibrate(
             raise ValueError(f"target time must be >= 0, got {t}")
         if f > 1.0 + 1e-12:
             raise CalibrationError(f"bound target {f} exceeds 1", residual=f - 1.0)
+    scale = _two_target_scale(items, envelope) if len(items) == 2 else 0.0
+    t1, f1 = items[0]
+    prep = _prep_for_scale(scale)
+    knots = _bound_knots(prepare_cluster(prep))
+    # gamma(0) = 1 for every tau, so a target at t = 0 leaves tau unconstrained;
+    # a target out of reach takes the nearest edge retention.
+    g1 = 1.0 if t1 == 0.0 else _solve_retention(knots, f1)
+    if g1 is None:
+        g1 = _EDGE_RETENTION if f1 < knots[0] else 1.0 - _EDGE_RETENTION
+    tau = UNCONSTRAINED_TAU if g1 >= 1.0 else _tau_for(t1, g1, envelope)
+    noise = StorageNoiseParams(tau=tau, envelope=envelope)
+    achieved = lifetime_curve([t for t, _ in items], prep, noise)
+    residual = max(abs(p.fidelity_bound - f) for p, (_, f) in zip(achieved, items))
+    if residual > RESIDUAL_LIMIT:
+        raise CalibrationError("no model meets the targets within the residual limit "
+                               f"{RESIDUAL_LIMIT}", residual=residual)
+    return CalibrationResult(prep=prep, noise=noise, residual=residual)
 
-    if len(items) == 1:
-        return _calibrate_single(items[0], envelope, residual_limit)
 
+def _two_target_scale(items: list, envelope: str) -> float:
+    """Imperfection scale at which both targets imply the same decay constant."""
     (t1, f1), (t2, f2) = items
     if f2 >= f1:
         # A dephasing-only curve is non-increasing; a later-but-larger target
@@ -248,89 +261,30 @@ def calibrate(
             "two-target calibration needs both times strictly positive",
             residual=float("inf"),
         )
-
     try:
         exponent_ratio = (t2 / t1) ** (2 if envelope == "gaussian" else 1)
     except OverflowError:
         raise CalibrationError(f"target times {t1} and {t2} us are too far apart",
                                residual=float("inf")) from None
 
-    def mismatch(scale: float):
-        """log-gamma consistency of the two implied retentions; None if infeasible."""
+    def decays_too_fast(scale: float) -> bool:
+        """Whether the tau that meets the first target undershoots the second;
+        a scale past the feasible edge (no such tau) counts as not."""
         try:
-            prep = _prep_for_scale(scale, pol_anchor, spa_anchor)
+            knots = _bound_knots(prepare_cluster(_prep_for_scale(scale)))
         except ValueError:
-            return None
-        knots = _bound_knots(prepare_cluster(prep))
+            return False
         g1, g2 = _solve_retention(knots, f1), _solve_retention(knots, f2)
-        if g1 is None or g2 is None or g1 <= 0.0 or g2 <= 0.0 or g1 >= 1.0:
-            return None
-        return math.log(g2) - exponent_ratio * math.log(g1)
+        return g1 is not None and g2 is not None and math.log(g2) >= exponent_ratio * math.log(g1)
 
-    # Bracket the sign change in the imperfection scale; past the feasible
-    # edge (mismatch None) counts as the negative side.
-    lo, val_lo = 0.0, mismatch(0.0)
-    if val_lo is None or val_lo < 0.0:
-        # No imperfection scale can flatten the curve enough; report the
-        # residual of the tau that nails the first target with ideal prep.
-        prep = PreparationParams()
-        g1 = _solve_retention(_bound_knots(prepare_cluster(prep)), f1)
-        if g1 is None or g1 <= 0.0 or g1 >= 1.0:
-            raise CalibrationError("targets unreachable with ideal preparation",
-                                   residual=float("inf"))
-        noise = StorageNoiseParams(tau=_tau_for(t1, g1, envelope), envelope=envelope)
-        raise CalibrationError("targets unreachable even with ideal preparation",
-                               residual=_max_error(prep, noise, items))
-    hi = None
-    scale = 0.1
-    while scale <= 6.0:
-        val = mismatch(scale)
-        if val is None or val < 0.0:
-            hi = scale
-            break
-        lo = scale
-        scale += 0.1
-    if hi is None:
-        raise CalibrationError("no imperfection scale matches both targets",
-                               residual=float("inf"))
+    # Bracket the edge in the imperfection scale, then bisect it.  Every scale
+    # >= 4.35 is past the feasible edge, so the scan stops there at the latest.
+    if not decays_too_fast(0.0):
+        return 0.0
+    lo, hi = 0.0, 0.1
+    while decays_too_fast(hi):
+        lo, hi = hi, hi + 0.1
     for _ in range(44):
         mid = 0.5 * (lo + hi)
-        val = mismatch(mid)
-        if val is None or val < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    scale = 0.5 * (lo + hi)
-
-    prep = _prep_for_scale(scale, pol_anchor, spa_anchor)
-    g1 = _solve_retention(_bound_knots(prepare_cluster(prep)), f1)
-    noise = StorageNoiseParams(tau=_tau_for(t1, g1, envelope), envelope=envelope)
-    return _checked_result(prep, noise, items, residual_limit)
-
-
-def _calibrate_single(target, envelope: str, residual_limit: float) -> CalibrationResult:
-    t, f = target
-    prep = PreparationParams()
-    knots = _bound_knots(prepare_cluster(prep))
-    # gamma(0) = 1 for every tau, so a target at t = 0 leaves tau unconstrained.
-    g = 1.0 if t == 0.0 else _solve_retention(knots, f)
-    if g is None or g <= 0.0:
-        best = knots[0] if f < 0 else knots[2]
-        raise CalibrationError("single target out of the reachable bound range",
-                               residual=abs(best - f))
-    tau = UNCONSTRAINED_TAU if g >= 1.0 else _tau_for(t, g, envelope)
-    noise = StorageNoiseParams(tau=tau, envelope=envelope)
-    return _checked_result(prep, noise, [target], residual_limit)
-
-
-def _max_error(prep: PreparationParams, noise: StorageNoiseParams, items) -> float:
-    """Largest |bound - target| of the model over the (time, bound) targets."""
-    achieved = lifetime_curve([t for t, _ in items], prep, noise)
-    return max(abs(p.fidelity_bound - f) for p, (_, f) in zip(achieved, items))
-
-
-def _checked_result(prep, noise, items, residual_limit: float) -> CalibrationResult:
-    residual = _max_error(prep, noise, items)
-    if residual > residual_limit:
-        raise CalibrationError("calibration residual exceeds the limit", residual=residual)
-    return CalibrationResult(prep=prep, noise=noise, residual=residual)
+        lo, hi = (mid, hi) if decays_too_fast(mid) else (lo, mid)
+    return 0.5 * (lo + hi)

@@ -249,11 +249,56 @@ def test_stdout_when_no_out(capsys):
     # The calibrated model takes the same modulation checks and fits tau itself.
     ["witness", "--calibrated", "--storage-time", "3", "--osc-amp", "0.5", "--osc-freq", "1e308"],
     ["witness", "--calibrated", "--storage-time", "3", "--tau", "3"],
+    # One model source: --ideal/--noiseless, --calibrated, or explicit flags.
+    ["witness", "--ideal", "--imbalance", "0.5"],
+    ["witness", "--noiseless", "--tau", "3", "--storage-time", "5"],
+    ["witness", "--ideal", "--calibrated"],
+    ["rotate", "--noiseless", "--osc-amp", "0.3"],
+    ["witness", "--calibrated", "--storage-time", "3", "--imbalance", "0.2",
+     "--spatial-white-noise", "0.9"],
+    ["witness", "--calibrated", "--theta", "pi/8"],
+    # Storage flags without a storage model (--tau or --calibrated).
+    ["witness", "--storage-time", "5", "--imbalance", "0.5"],
+    ["rotate", "--osc-amp", "0.3", "--osc-freq", "2"],
+    ["sweep", "--envelope", "exponential"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config_text,noise_text", [
+    ("scenario=witness\nideal=true\n", "imbalance=0.5\n"),
+    ("scenario=witness\ncalibrated=true\n", "spatial_white_noise=0.1\n"),
+    ("scenario=witness\n", "storage_time=5\n"),
+], ids=["ideal", "calibrated", "no-storage-model"])
+def test_model_source_conflict_from_files_exit_2(config_text, noise_text, tmp_path, capsys):
+    cfg, nf = tmp_path / "run.cfg", tmp_path / "noise.cfg"
+    cfg.write_text(config_text)
+    nf.write_text(noise_text)
+    assert main(["--config", str(cfg), "--noise-file", str(nf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_default_config_reads_library_defaults():
+    from dataclasses import fields
+
+    from onewaysim import noise, timing
+    from onewaysim.cli import ScenarioConfig, _calibration_targets
+
+    config = ScenarioConfig()
+    assert _calibration_targets(config) == noise.DEFAULT_CALIBRATION_TARGETS
+    terms = {f.name: getattr(config, f.name) for f in fields(timing.LatencyBudget)}
+    assert timing.LatencyBudget(**terms) == timing.REFERENCE_BUDGET
+
+
+def test_ideal_prep_fit_within_residual_limit_exit_0(tmp_path):
+    # Ideal preparation meets these targets to 0.004, inside the 0.01 limit.
+    assert main(["lifetime", "--calibrated", "--target-t1", "1.8", "--target-f1", "0.42",
+                 "--target-t2", "19", "--target-f2", "-0.004",
+                 "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_calibrated_applies_modulation_flags(tmp_path):

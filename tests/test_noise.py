@@ -289,11 +289,21 @@ def test_retention_out_of_range_is_none():
     ({2.0: 0.9, 4.0: 0.3}, 0.3560999999999335),
     ({5.0: -0.7}, 0.7),
     ({0.0: 0.95}, 0.04999999999999982),
+    # Both bounds below the ideal cluster's at retention 0: the edge retention.
+    ({2.0: -0.6, 10.0: -0.7}, 0.7),
 ])
 def test_unreachable_target_residuals(targets, residual):
     with pytest.raises(CalibrationError) as err:
         calibrate(targets)
     assert err.value.residual == pytest.approx(residual, rel=1e-9)
+
+
+def test_ideal_prep_fit_within_residual_limit_is_accepted():
+    # Ideal preparation already decays too slowly between the targets, and
+    # the tau meeting the first misses the second by 0.004, inside the 0.01 limit.
+    result = calibrate({1.8: 0.42, 19.0: -0.004})
+    assert result.prep == IDEAL_PREP
+    assert result.residual == pytest.approx(0.004, rel=1e-9)
 
 
 @pytest.mark.parametrize("f,tau", [
