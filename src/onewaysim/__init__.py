@@ -3,9 +3,9 @@ hyperentangled photon-memory cluster state.
 
 Subpackages: qcore (dense qubit linear algebra), cluster (state preparation
 and the stabilizer witness), noise (storage dephasing and calibration),
-measure (projective measurement and count sampling), tomo (maximum-likelihood
-reconstruction), mbqc (the feedforward rotation protocol), timing (latency
-budgets), cli (scenario runner).
+measure (measurement bases, Born probabilities and count sampling), tomo
+(maximum-likelihood reconstruction), mbqc (the feedforward rotation
+protocol), timing (latency budgets), cli (scenario runner).
 """
 
 from .qcore import (
@@ -23,7 +23,6 @@ from .qcore import (
     pauli_string,
     permute_qubits,
     rotation_gate,
-    tensor,
 )
 from .cluster import (
     IDEAL_PREP,
@@ -51,9 +50,7 @@ from .measure import (
     MeasurementBasis,
     MeasurementSetting,
     RandomSource,
-    measure_qubit,
     pauli_settings,
-    projectors,
     sample_counts,
 )
 from .tomo import (

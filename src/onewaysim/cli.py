@@ -28,6 +28,8 @@ SCENARIOS = ("witness", "lifetime", "tomography", "rotate", "sweep", "budget")
 
 #: Most points a lifetime grid may have (t_max / t_step + 1).
 MAX_LIFETIME_POINTS = 100_000
+#: Exclusive upper bound on a shot count, from --shots or a tables file (int64).
+MAX_SHOTS = 2**63
 
 
 class ConfigError(ValueError):
@@ -240,7 +242,7 @@ def parse_args(argv=None) -> ScenarioConfig:
         raise ConfigError(
             f"scenario must be one of {', '.join(SCENARIOS)}, got {config.scenario!r}"
         )
-    if not 0 <= config.shots < 2**63:  # an int64 count
+    if not 0 <= config.shots < MAX_SHOTS:
         raise ConfigError(f"shots must be in [0, 2^63), got {config.shots}")
     if not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2^64), got {config.seed}")
@@ -252,6 +254,9 @@ def parse_args(argv=None) -> ScenarioConfig:
 def _calibration_targets(config: ScenarioConfig) -> dict:
     if config.target_t1 == config.target_t2:
         raise ConfigError(f"calibration target times must differ, both are {config.target_t1}")
+    if min(config.target_t1, config.target_t2) < 0:
+        raise ConfigError(f"calibration target times must be >= 0, got "
+                          f"{config.target_t1} and {config.target_t2}")
     return {config.target_t1: config.target_f1, config.target_t2: config.target_f2}
 
 
@@ -348,9 +353,15 @@ def _read_tables(path: str) -> list:
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                tables.append(measure.CountTable.from_json(line))
+                table = measure.CountTable.from_json(line)
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad count table: {exc!r}") from exc
+            if not table.shots < MAX_SHOTS:
+                raise ConfigError(f"{path}:{lineno}: shots must be in [1, 2^63), got {table.shots}")
+            if tables and table.setting.n_qubits != tables[0].setting.n_qubits:
+                raise ConfigError(f"{path}:{lineno}: table covers {table.setting.n_qubits} "
+                                  f"qubits, the first covers {tables[0].setting.n_qubits}")
+            tables.append(table)
     if not tables:
         raise ConfigError(f"tables file {path} holds no count tables")
     return tables
@@ -404,10 +415,8 @@ def _run_rotate(config: ScenarioConfig):
 
 
 def _run_sweep(config: ScenarioConfig):
-    template = _rotation_request(config)
-    tag = "calibrated" if config.calibrated else (
-        "noiseless" if template.noise is None else "noisy")
-    points = mbqc.sweep(config.mode, template, noise_tag=tag,
+    points = mbqc.sweep(config.mode, _rotation_request(config),
+                        noise_tag="calibrated" if config.calibrated else None,
                         rng=measure.RandomSource(config.seed))
     return mbqc.sweep_to_csv_rows(points, per_branch=config.per_branch)
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .cluster import PreparationParams, cluster_statevector, prepare_cluster
-from .measure import MeasurementBasis, RandomSource, _as_generator, basis_vectors, measure_qubit
+from .measure import MeasurementBasis, RandomSource, _as_generator, basis_vectors
 from .noise import StorageNoiseParams, apply_storage
 from .qcore import (
     HADAMARD,
@@ -163,13 +163,13 @@ def _enumerate_branches(lin3: DensityMatrix, alpha: float, beta: float, feedforw
     """Exact (probability, pre-correction state, corrected matrix) per branch."""
     branches = {}
     for s2 in (0, 1):
-        mid, p2 = project(lin3.entries, 3, 1, _equatorial_bra(alpha, s2))
+        mid, p2 = project(lin3.entries, _equatorial_bra(alpha, s2))
         if p2 < 1e-12:
             continue
         mid = mid / p2
         beta_eff = ((-1) ** s2) * beta if feedforward else beta
         for s3 in (0, 1):
-            out, p3 = project(mid, 2, 1, _equatorial_bra(beta_eff, s3))
+            out, p3 = project(mid, _equatorial_bra(beta_eff, s3))
             prob = p2 * p3
             if prob < 1e-12:
                 continue
@@ -236,17 +236,20 @@ def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
 def single_shot_trace(req: RotationRequest, rng) -> FeedforwardTrace:
     """One sequential shot through the protocol, recording the event order.
 
-    Both outcomes are Born draws of ``measure_qubit`` from one shared stream.
+    s2 is drawn from its marginal over the exact branch weights, then s3 from
+    its weight given s2; both draws take one uniform each from one shared
+    stream (a ``RandomSource`` or a numpy ``Generator`` to advance).
     """
     gen = _as_generator(rng)
     lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
-    s2, _, mid = measure_qubit(lin3, 1, MeasurementBasis.equatorial(req.alpha), gen)
-    beta_eff = ((-1) ** s2) * req.beta if req.feedforward_enabled else req.beta
-    s3 = measure_qubit(mid, 2, MeasurementBasis.equatorial(beta_eff), gen).outcome
-
-    z_pow = s2 if req.feedforward_enabled else 0
-    x_pow = s3 if req.feedforward_enabled else 0
-    return FeedforwardTrace(s2=s2, basis_angle_q3=beta_eff, s3=s3, z_power=z_pow, x_power=x_pow)
+    ff = req.feedforward_enabled
+    branches = _enumerate_branches(lin3, req.alpha, req.beta, ff)
+    p = np.array([[branches.get((s2, s3), (0.0,))[0] for s3 in (0, 1)] for s2 in (0, 1)])
+    s2 = 0 if gen.random() < p[0].sum() / p.sum() else 1
+    s3 = 0 if gen.random() < p[s2, 0] / p[s2].sum() else 1
+    beta_eff = ((-1) ** s2) * req.beta if ff else req.beta
+    return FeedforwardTrace(s2=s2, basis_angle_q3=beta_eff, s3=s3,
+                            z_power=s2 if ff else 0, x_power=s3 if ff else 0)
 
 
 def branch_verify(alpha: float, beta: float, tol: float = 1e-9):
@@ -262,9 +265,9 @@ def branch_verify(alpha: float, beta: float, tol: float = 1e-9):
     lin3, _ = to_lin3(cluster_statevector(), POSTSELECT_OUTCOME)
     residuals = {}
     for s2 in (0, 1):
-        v2, _ = project(lin3.amplitudes, 3, 1, _equatorial_bra(alpha, s2))
+        v2, _ = project(lin3.amplitudes, _equatorial_bra(alpha, s2))
         for s3 in (0, 1):
-            v3, _ = project(v2, 2, 1, _equatorial_bra(beta, s3))
+            v3, _ = project(v2, _equatorial_bra(beta, s3))
             norm = np.linalg.norm(v3)
             measured = StateVector(1, v3 / norm)
             expected = _branch_formula(alpha, beta, s2, s3)

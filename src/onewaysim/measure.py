@@ -1,4 +1,4 @@
-"""Projective measurements, single-shot collapse, and count generation.
+"""Measurement bases, Born probabilities, and count generation.
 
 Outcome convention used everywhere: outcome ``0`` is the projection onto
 ``|a+> = (|0> + e^{i a}|1>)/sqrt(2)`` (or ``|0>`` in the computational basis),
@@ -12,17 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import (
-    DensityMatrix,
-    ObservableOperator,
-    StateVector,
-    density,
-    project,
-)
+from .qcore import StateVector, density
 
 COMPUTATIONAL = "computational"
 EQUATORIAL = "equatorial"
@@ -90,14 +84,6 @@ def basis_vectors(basis: MeasurementBasis):
         v0 = np.array([1, phase], dtype=np.complex128) / np.sqrt(2.0)
         v1 = np.array([1, -phase], dtype=np.complex128) / np.sqrt(2.0)
     return v0, v1
-
-
-def projectors(basis: MeasurementBasis):
-    """Rank-1 orthogonal projectors (P0, P1) for the two outcomes."""
-    v0, v1 = basis_vectors(basis)
-    p0 = ObservableOperator(1, np.outer(v0, v0.conj()))
-    p1 = ObservableOperator(1, np.outer(v1, v1.conj()))
-    return p0, p1
 
 
 @dataclass(frozen=True)
@@ -213,46 +199,6 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise ValueError(f"rng must be a RandomSource or numpy Generator, got {type(rng).__name__}")
-
-
-class MeasurementOutcome(NamedTuple):
-    outcome: int
-    probability: float
-    post_state: Union[StateVector, DensityMatrix]
-
-
-def measure_qubit(state, qubit: int, basis: MeasurementBasis, rng) -> MeasurementOutcome:
-    """Born-rule collapse of one qubit; the qubit stays in the register.
-
-    Deterministic for a given RandomSource: a fresh generator is derived from
-    it, so repeated calls with identical arguments repeat the outcome.  Pass a
-    numpy Generator instead to advance a shared stream across a sequence of
-    measurements.
-    """
-    n = state.n_qubits
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit {qubit} out of range 1..{n}")
-    kets = basis_vectors(basis)
-    pure = isinstance(state, StateVector)
-    values = state.amplitudes if pure else state.entries
-    branches = [project(values, n, qubit, v.conj()) for v in kets]
-    (_, p0), (_, p1) = branches
-    if p0 < 1e-12 and p1 < 1e-12:
-        raise ValueError("both outcome probabilities underflow; state is degenerate here")
-    gen = _as_generator(rng)
-    outcome = 0 if gen.random() < p0 / (p0 + p1) else 1
-    reduced, p = branches[outcome]
-    v = kets[outcome]
-    if pure:
-        collapsed = np.einsum("a,r->ar", v, reduced) / math.sqrt(p)
-        collapsed = np.moveaxis(collapsed.reshape((2,) * n), 0, qubit - 1).reshape(-1)
-        post = StateVector(n, collapsed)
-    else:
-        collapsed = np.einsum("a,rs,b->abrs", v, reduced, v.conj()) / p
-        collapsed = collapsed.reshape((2, 2) + (2,) * (2 * (n - 1)))
-        collapsed = np.moveaxis(collapsed, (0, 1), (qubit - 1, n + qubit - 1))
-        post = DensityMatrix(n, collapsed.reshape(2**n, 2**n))
-    return MeasurementOutcome(outcome, p, post)
 
 
 def setting_probabilities(rho, setting: MeasurementSetting) -> np.ndarray:

@@ -169,22 +169,11 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _H = (_X + _Z) / np.sqrt(2.0)
 
-IDENTITY = UnitaryOperator(1, _I)
 PAULI_X = UnitaryOperator(1, _X)
 PAULI_Z = UnitaryOperator(1, _Z)
 HADAMARD = UnitaryOperator(1, _H)
 
 _PAULI_BY_LABEL = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
-
-
-def computational_ket(bits: str) -> StateVector:
-    """Basis state for a bitstring, e.g. ``computational_ket("0101")``."""
-    if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"bitstring must be nonempty over {{0,1}}, got {bits!r}")
-    n = len(bits)
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(n, amps)
 
 
 def plus_ket() -> StateVector:
@@ -209,32 +198,6 @@ def density(state: StateVector) -> DensityMatrix:
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
     d = 2**n_qubits
     return DensityMatrix(n_qubits, np.eye(d) / d)
-
-
-def tensor(factors: Sequence) -> Union[StateVector, DensityMatrix, UnitaryOperator, ObservableOperator]:
-    """Kronecker product in listed order (first factor = most significant qubits).
-
-    All factors must be of the same kind; states compose as kets, operators as
-    matrices.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("tensor requires at least one factor")
-    kind = type(factors[0])
-    if any(type(f) is not kind for f in factors):
-        raise ValueError("tensor factors must all be the same kind")
-    n = sum(f.n_qubits for f in factors)
-    if kind is StateVector:
-        amps = factors[0].amplitudes
-        for f in factors[1:]:
-            amps = np.kron(amps, f.amplitudes)
-        return StateVector(n, amps)
-    if kind in (DensityMatrix, UnitaryOperator, ObservableOperator):
-        m = factors[0].entries
-        for f in factors[1:]:
-            m = np.kron(m, f.entries)
-        return kind(n, m)
-    raise ValueError(f"cannot tensor values of type {kind.__name__}")
 
 
 def _validate_targets(targets: Sequence[int], n: int, arity: int | None = None) -> list[int]:
@@ -391,19 +354,17 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel, targets: Sequence[int]
     return DensityMatrix(n, out)
 
 
-def project(values: np.ndarray, n: int, qubit: int, bra: np.ndarray):
-    """Project ``qubit`` of an n-qubit ket or density matrix onto ``<bra|`` and drop it.
+def project(values: np.ndarray, bra: np.ndarray):
+    """Project qubit 1 of a ket or density matrix onto ``<bra|`` and drop it.
 
-    Returns the unnormalised (n-1)-qubit ket or matrix and the outcome
-    probability.
+    Returns the unnormalised ket or matrix on the remaining qubits and the
+    outcome probability.
     """
-    rest = 2 ** (n - 1)
+    rest = len(values) // 2
     if values.ndim == 1:
-        block = np.moveaxis(values.reshape((2,) * n), qubit - 1, 0).reshape(2, rest)
-        vec = bra @ block
+        vec = bra @ values.reshape(2, rest)
         return vec, float(np.real(np.vdot(vec, vec)))
-    t = np.moveaxis(values.reshape((2,) * (2 * n)), (qubit - 1, n + qubit - 1), (0, n))
-    mat = np.einsum("a,abcd,c->bd", bra, t.reshape(2, rest, 2, rest), bra.conj())
+    mat = np.einsum("a,abcd,c->bd", bra, values.reshape(2, rest, 2, rest), bra.conj())
     return mat, float(np.real(np.trace(mat)))
 
 
@@ -428,8 +389,3 @@ def phase_aligned_distance(a: StateVector, b: StateVector) -> float:
         return float(np.abs(a.amplitudes - b.amplitudes).max())
     phase = (a.amplitudes[k] / abs(a.amplitudes[k])) * (bk / abs(bk)).conjugate()
     return float(np.abs(a.amplitudes - phase * b.amplitudes).max())
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """True when the states agree up to a global phase within ``tol``."""
-    return phase_aligned_distance(a, b) <= tol

@@ -1,23 +1,34 @@
-"""Shared independent oracles: raw-numpy constructions and Kraus-channel
-forms kept deliberately separate from the library code paths they check."""
+"""Shared independent oracles: raw-numpy constructions, Kraus-channel
+forms and general-purpose helpers (Kronecker products, any-qubit projection,
+Born collapse of one qubit) kept deliberately separate from the library code
+paths they check."""
 
 import math
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from onewaysim.cluster import CONDITIONAL_PHASE, evaluate_witness, prepare_hyper
-from onewaysim.mbqc import LIN3_ORDER
-from onewaysim.measure import outcome_kets
+from onewaysim.mbqc import (
+    LIN3_ORDER,
+    POSTSELECT_OUTCOME,
+    FeedforwardTrace,
+    _cluster_for_request,
+    to_lin3,
+)
+from onewaysim.measure import MeasurementBasis, _as_generator, basis_vectors, outcome_kets
 from onewaysim.noise import coherence_retention
 from onewaysim.qcore import (
     HADAMARD,
+    DensityMatrix,
+    ObservableOperator,
     QuantumChannel,
     StateVector,
+    UnitaryOperator,
     apply_channel,
     apply_unitary,
     permute_qubits,
-    project,
-    tensor,
+    phase_aligned_distance,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -93,6 +104,129 @@ def random_density_matrix(n, seed):
     g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+# ------------------------------------------------ general-purpose qubit helpers
+
+IDENTITY = UnitaryOperator(1, I2)
+
+
+def computational_ket(bits: str) -> StateVector:
+    """Basis state for a bitstring, e.g. ``computational_ket("0101")``."""
+    if not bits or any(b not in "01" for b in bits):
+        raise ValueError(f"bitstring must be nonempty over {{0,1}}, got {bits!r}")
+    n = len(bits)
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(n, amps)
+
+
+def tensor(factors: Sequence) -> Union[StateVector, DensityMatrix, UnitaryOperator, ObservableOperator]:
+    """Kronecker product in listed order (first factor = most significant qubits).
+
+    All factors must be of the same kind; states compose as kets, operators as
+    matrices.
+    """
+    factors = list(factors)
+    if not factors:
+        raise ValueError("tensor requires at least one factor")
+    kind = type(factors[0])
+    if any(type(f) is not kind for f in factors):
+        raise ValueError("tensor factors must all be the same kind")
+    n = sum(f.n_qubits for f in factors)
+    if kind is StateVector:
+        amps = factors[0].amplitudes
+        for f in factors[1:]:
+            amps = np.kron(amps, f.amplitudes)
+        return StateVector(n, amps)
+    if kind in (DensityMatrix, UnitaryOperator, ObservableOperator):
+        m = factors[0].entries
+        for f in factors[1:]:
+            m = np.kron(m, f.entries)
+        return kind(n, m)
+    raise ValueError(f"cannot tensor values of type {kind.__name__}")
+
+
+def states_equal(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
+    """True when the states agree up to a global phase within ``tol``."""
+    return phase_aligned_distance(a, b) <= tol
+
+
+def project(values: np.ndarray, n: int, qubit: int, bra: np.ndarray):
+    """Project ``qubit`` of an n-qubit ket or density matrix onto ``<bra|`` and drop it.
+
+    Returns the unnormalised (n-1)-qubit ket or matrix and the outcome
+    probability.
+    """
+    rest = 2 ** (n - 1)
+    if values.ndim == 1:
+        block = np.moveaxis(values.reshape((2,) * n), qubit - 1, 0).reshape(2, rest)
+        vec = bra @ block
+        return vec, float(np.real(np.vdot(vec, vec)))
+    t = np.moveaxis(values.reshape((2,) * (2 * n)), (qubit - 1, n + qubit - 1), (0, n))
+    mat = np.einsum("a,abcd,c->bd", bra, t.reshape(2, rest, 2, rest), bra.conj())
+    return mat, float(np.real(np.trace(mat)))
+
+
+def projectors(basis: MeasurementBasis):
+    """Rank-1 orthogonal projectors (P0, P1) for the two outcomes."""
+    v0, v1 = basis_vectors(basis)
+    p0 = ObservableOperator(1, np.outer(v0, v0.conj()))
+    p1 = ObservableOperator(1, np.outer(v1, v1.conj()))
+    return p0, p1
+
+
+class MeasurementOutcome(NamedTuple):
+    outcome: int
+    probability: float
+    post_state: Union[StateVector, DensityMatrix]
+
+
+def measure_qubit(state, qubit: int, basis: MeasurementBasis, rng) -> MeasurementOutcome:
+    """Born-rule collapse of one qubit; the qubit stays in the register.
+
+    Deterministic for a given RandomSource: a fresh generator is derived from
+    it, so repeated calls with identical arguments repeat the outcome.  Pass a
+    numpy Generator instead to advance a shared stream across a sequence of
+    measurements.
+    """
+    n = state.n_qubits
+    if not 1 <= qubit <= n:
+        raise ValueError(f"qubit {qubit} out of range 1..{n}")
+    kets = basis_vectors(basis)
+    pure = isinstance(state, StateVector)
+    values = state.amplitudes if pure else state.entries
+    branches = [project(values, n, qubit, v.conj()) for v in kets]
+    (_, p0), (_, p1) = branches
+    if p0 < 1e-12 and p1 < 1e-12:
+        raise ValueError("both outcome probabilities underflow; state is degenerate here")
+    gen = _as_generator(rng)
+    outcome = 0 if gen.random() < p0 / (p0 + p1) else 1
+    reduced, p = branches[outcome]
+    v = kets[outcome]
+    if pure:
+        collapsed = np.einsum("a,r->ar", v, reduced) / math.sqrt(p)
+        collapsed = np.moveaxis(collapsed.reshape((2,) * n), 0, qubit - 1).reshape(-1)
+        post = StateVector(n, collapsed)
+    else:
+        collapsed = np.einsum("a,rs,b->abrs", v, reduced, v.conj()) / p
+        collapsed = collapsed.reshape((2, 2) + (2,) * (2 * (n - 1)))
+        collapsed = np.moveaxis(collapsed, (0, 1), (qubit - 1, n + qubit - 1))
+        post = DensityMatrix(n, collapsed.reshape(2**n, 2**n))
+    return MeasurementOutcome(outcome, p, post)
+
+
+def sequential_shot_trace(req, rng):
+    """One shot of the rotation protocol as two Born collapses of the whole
+    register, drawn by ``measure_qubit`` from one shared stream."""
+    gen = _as_generator(rng)
+    lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
+    s2, _, mid = measure_qubit(lin3, 1, MeasurementBasis.equatorial(req.alpha), gen)
+    beta_eff = ((-1) ** s2) * req.beta if req.feedforward_enabled else req.beta
+    s3 = measure_qubit(mid, 2, MeasurementBasis.equatorial(beta_eff), gen).outcome
+    ff = req.feedforward_enabled
+    return FeedforwardTrace(s2=s2, basis_angle_q3=beta_eff, s3=s3,
+                            z_power=s2 if ff else 0, x_power=s3 if ff else 0)
 
 
 def aligned_distance(a, b):

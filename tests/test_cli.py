@@ -230,6 +230,8 @@ def test_stdout_when_no_out(capsys):
     ["rotate", "--alpha", "pi/0"],
     ["witness", "--tau", "5", "--storage-time", "nan"],
     ["witness", "--calibrated", "--target-t1", "3", "--target-t2", "3"],
+    ["witness", "--calibrated", "--target-t1", "-1"],
+    ["witness", "--calibrated", "--target-t2", "-3"],
     ["lifetime", "--tau", "5", "--t-max", "inf"],
     ["budget", "--coherence-time", "inf"],
     ["budget", "--eom-response", "-1"],
@@ -364,6 +366,44 @@ def test_malformed_tables_exit_2(text, tmp_path):
     tables.write_text(text)
     code = main(["tomography", "--tables-in", str(tables), "--out", str(tmp_path / "t.json")])
     assert code == 2
+
+
+def _table_line(setting, shots, counts):
+    return json.dumps({"setting": setting, "shots": shots, "counts": counts}) + "\n"
+
+
+@pytest.mark.parametrize("lines,bad_line", [
+    # One 3-qubit table among 4-qubit ones.
+    ([_table_line(["Z"] * 4, 1, {"0000": 1}), _table_line(["Z"] * 3, 1, {"000": 1}),
+      _table_line(["X"] * 4, 1, {"0000": 1})], 2),
+    # A complete 1-qubit set whose second table has 10^400 shots (float overflow).
+    ([_table_line([c], 10**400 if c == "Y" else 5, {"0": 10**400 if c == "Y" else 5})
+      for c in "XYZ"], 2),
+    # 10^300 shots still fit a float but not an int64 count.
+    ([_table_line([c], 10**300 if c == "Z" else 5, {"1": 10**300 if c == "Z" else 5})
+      for c in "XYZ"], 3),
+], ids=["mixed-registers", "shots-1e400", "shots-1e300"])
+def test_bad_tables_file_exit_2_with_line(lines, bad_line, tmp_path, capsys):
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text("".join(lines))
+    code = main(["tomography", "--tables-in", str(tables), "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{tables}:{bad_line}:" in err
+
+
+def test_tables_shots_bound_is_the_sampling_bound(tmp_path):
+    import onewaysim.cli as cli_mod
+
+    good = tmp_path / "good.jsonl"
+    good.write_text("".join(_table_line([c], cli_mod.MAX_SHOTS - 1,
+                                        {"0": cli_mod.MAX_SHOTS - 1}) for c in "XYZ"))
+    assert cli_mod._read_tables(str(good))[0].shots == 2**63 - 1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_table_line(["X"], cli_mod.MAX_SHOTS, {"0": cli_mod.MAX_SHOTS}))
+    with pytest.raises(cli_mod.ConfigError):
+        cli_mod._read_tables(str(bad))
 
 
 @pytest.mark.parametrize("flag", ["--config", "--noise-file", "--tables-in"])

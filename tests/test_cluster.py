@@ -156,7 +156,7 @@ def test_witness_on_ideal_cluster_is_minus_one():
 
 def test_witness_on_all_zeros():
     # Only the two Z-only products survive: (4 - 2) / 2 = +1.
-    from onewaysim.qcore import computational_ket
+    from conftest import computational_ket
 
     assert expectation(computational_ket("0000"), witness_operator()) == pytest.approx(1.0)
 

@@ -35,13 +35,14 @@ from onewaysim.qcore import (
     density,
     fidelity,
     maximally_mixed,
-    states_equal,
 )
 from conftest import (
     aligned_distance,
     composed_lin3,
     random_density_matrix,
     random_state_vector,
+    sequential_shot_trace,
+    states_equal,
 )
 
 
@@ -128,7 +129,8 @@ def test_to_lin3_rejects_bad_outcome():
 def test_to_lin3_zero_probability_rejected():
     # engineer a state whose reduced first qubit is |1> after the reduction:
     # permute/H make this the |+> component, so build it backwards
-    from onewaysim.qcore import HADAMARD, permute_qubits, tensor
+    from conftest import tensor
+    from onewaysim.qcore import HADAMARD, permute_qubits
 
     target = StateVector(4, np.kron(np.array([1, 0]), np.ones(8) / np.sqrt(8)))
     undone = apply_unitary(target, tensor([HADAMARD, HADAMARD]), (1, 4))
@@ -322,6 +324,28 @@ def test_single_shot_trace_without_feedforward():
     trace = single_shot_trace(req, RandomSource(3))
     assert trace.basis_angle_q3 == pytest.approx(req.beta)
     assert trace.z_power == 0 and trace.x_power == 0
+
+
+@pytest.mark.parametrize("req", [
+    RotationRequest(alpha=1.3, beta=0.8),
+    RotationRequest(alpha=1.3, beta=0.8, feedforward_enabled=False),
+    RotationRequest(alpha=0.7, beta=1.9,
+                    noise=RotationNoise(PreparationParams(imbalance=1e-3))),
+    RotationRequest(alpha=2.1, beta=-0.6, noise=RotationNoise(
+        PreparationParams(theta=0.9, imbalance=1e3, spatial_white_noise=0.1),
+        StorageNoiseParams(tau=20.0), storage_time=7.5)),
+    RotationRequest(alpha=0.4, beta=2.8, feedforward_enabled=False, noise=RotationNoise(
+        PreparationParams(imbalance=0.3), StorageNoiseParams(tau=5.0), storage_time=3.0)),
+], ids=["ideal", "ideal-no-ff", "imbalance-1e-3", "imbalance-1e3-storage",
+        "storage-no-ff"])
+def test_single_shot_trace_matches_sequential_collapse(req):
+    # Oracle: two Born collapses of the whole register (measure_qubit), one stream.
+    for seed in range(150):
+        assert single_shot_trace(req, RandomSource(seed, 2)) == \
+            sequential_shot_trace(req, RandomSource(seed, 2))
+    ours, oracle = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(150):
+        assert single_shot_trace(req, ours) == sequential_shot_trace(req, oracle)
 
 
 @pytest.mark.parametrize("feedforward", [True, False])

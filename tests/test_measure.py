@@ -12,9 +12,7 @@ from onewaysim.measure import (
     MeasurementBasis,
     MeasurementSetting,
     RandomSource,
-    measure_qubit,
     pauli_settings,
-    projectors,
     sample_counts,
     setting_probabilities,
 )
@@ -23,14 +21,12 @@ from onewaysim.qcore import (
     HADAMARD,
     StateVector,
     apply_unitary,
-    computational_ket,
     density,
     maximally_mixed,
     permute_qubits,
     plus_ket,
-    tensor,
 )
-from conftest import random_state_vector
+from conftest import computational_ket, measure_qubit, projectors, random_state_vector, tensor
 
 
 # ---------------------------------------------------------------- projectors

@@ -24,7 +24,6 @@ from onewaysim.measure import (
 from onewaysim.noise import apply_storage, calibrate
 from onewaysim.qcore import (
     DensityMatrix,
-    computational_ket,
     density,
     fidelity,
     partial_trace,
@@ -38,7 +37,12 @@ from onewaysim.tomo import (
     rho_to_entry_list,
     undo_conditional_phase,
 )
-from conftest import composed_undo_phase, loop_design_matrix, random_density_matrix
+from conftest import (
+    composed_undo_phase,
+    computational_ket,
+    loop_design_matrix,
+    random_density_matrix,
+)
 
 
 @pytest.fixture(scope="module")
