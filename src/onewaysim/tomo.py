@@ -100,11 +100,13 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
             kets.append(rows[int(bits, 2)])
             counts.append(float(c))
     v = np.array(kets)  # (K, d), row k = ket of observed outcome k
+    vc = v.conj()
     ns = np.array(counts)
     n_total = float(ns.sum())
 
     def probs_of(r):
-        p = np.real(np.einsum("ki,ij,kj->k", v.conj(), r, v))
+        """<v_k| r |v_k> for every row: one matrix product, then row sums."""
+        p = np.sum((vc @ r) * v, axis=1).real
         return np.clip(p, 1e-12, None)
 
     def ll_of(p):
@@ -128,7 +130,7 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
 
     for iterations in range(1, cfg.max_iterations + 1):
         w = ns / (n_total * p)
-        r_op = (v.T * w) @ v.conj()
+        r_op = (v.T * w) @ vc
         candidate, p_new, ll_new = step(r_op, rho)
         if ll_new < ll:
             # Dilute the step until the likelihood improves; R is an ascent
