@@ -262,11 +262,16 @@ def _calibration_targets(config: ScenarioConfig) -> dict:
 
 _PREP_KEYS = ("theta", "imbalance", "spatial_white_noise")
 _STORAGE_KEYS = ("osc_amp", "osc_freq", "envelope", "storage_time")
+_SAMPLING_KEYS = ("shots", "seed", "ideal", "calibrated", "tau", *_PREP_KEYS, *_STORAGE_KEYS)
+
+
+def _given(config: ScenarioConfig, keys) -> list:
+    """Flags of ``keys`` whose value differs from its default (flag or file alike)."""
+    return [_flag(k) for k in keys if getattr(config, k) != _DEFAULTS[k]]
 
 
 def _check_model_source(config: ScenarioConfig) -> None:
-    """Config error unless the model comes from one source; a field is given
-    when its value differs from its default, from a flag or a file alike."""
+    """Config error unless the model comes from one source."""
     if config.ideal:
         rule = "--ideal/--noiseless excludes {}"
         excluded = ("calibrated", "tau", *_PREP_KEYS, *_STORAGE_KEYS)
@@ -275,7 +280,7 @@ def _check_model_source(config: ScenarioConfig) -> None:
     else:
         rule = "{}: no storage model to apply to; pass --tau or --calibrated"
         excluded = () if config.tau is not None else _STORAGE_KEYS
-    given = [_flag(k) for k in excluded if getattr(config, k) != _DEFAULTS[k]]
+    given = _given(config, excluded)
     if given:
         raise ConfigError(rule.format(", ".join(given)))
 
@@ -369,8 +374,11 @@ def _read_tables(path: str) -> list:
 
 def _run_tomography(config: ScenarioConfig):
     if config.tables_in:
+        given = _given(config, _SAMPLING_KEYS)
+        if given:
+            raise ConfigError(f"--tables-in reconstructs from recorded counts; "
+                              f"it excludes {', '.join(given)}")
         tables = _read_tables(config.tables_in)
-        shots = tables[0].shots
     else:
         rho = _state_for(config)
         shots = config.shots if config.shots >= 1 else 1000
@@ -384,7 +392,8 @@ def _run_tomography(config: ScenarioConfig):
     except tomo.IncompleteSettingsError as exc:
         raise ConfigError(str(exc)) from exc
     payload = tomo.report_to_json_dict(report)
-    payload["shots_per_setting"] = shots
+    shots = {t.shots for t in tables}
+    payload["shots_per_setting"] = shots.pop() if len(shots) == 1 else None  # None: mixed
     payload["n_settings"] = len(tables)
     if not config.tables_in:
         payload["seed"] = config.seed

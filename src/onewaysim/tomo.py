@@ -3,7 +3,8 @@
 The estimate is the fixed point of the multinomial-likelihood ascent iteration
 (R rho R, diluted whenever a full step would not improve the likelihood), so
 accepted iterations are monotone in log-likelihood and the iterate stays
-positive semidefinite and unit trace by construction.
+positive semidefinite and unit trace by construction.  A likelihood costs one
+matrix product; completeness is a sum of small real ranks of Bloch vectors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import _PHASE_MASK, cluster_statevector
-from .measure import CountTable, outcome_kets
+from .measure import CountTable, MeasurementSetting, basis_vectors, outcome_kets
 from .qcore import (
     DensityMatrix,
     StateVector,
@@ -62,19 +63,32 @@ class TomographyReport:
     ll_history: tuple
 
 
-def _design_matrix(kets: np.ndarray) -> np.ndarray:
-    """Row k is the flattened projector |v_k><v_k| of the stacked ket v_k: one
-    broadcast product, which rounds exactly as ``np.outer`` does."""
-    return (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
+def _check_informationally_complete(settings: Sequence[MeasurementSetting], n: int) -> None:
+    """Raise unless the settings' outcome projectors span the 4^n operator space.
+
+    A setting's projectors span the products over qubits of I or n.sigma (n the
+    qubit's Bloch vector).  Pauli strings that are non-identity on different
+    qubit subsets S are orthogonal, so the rank sums, over S, the ranks of the
+    (settings x 3^|S|) matrices of Kronecker products of Bloch vectors.
+    """
+    terms = np.ones((len(settings), 1))
+    support = np.zeros(1, dtype=int)  # bitmask of the non-identity qubits per column
+    for q in range(n):
+        a, b = np.array([basis_vectors(s.bases[q])[0] for s in settings]).T  # outcome 0
+        ab = 2 * a.conj() * b  # |v0><v0| = (I + n.sigma)/2: coefficients of I, X, Y, Z
+        local = np.stack([np.ones(len(ab)), ab.real, ab.imag, abs(a)**2 - abs(b)**2], axis=1)
+        terms = (terms[:, :, None] * local[:, None, :]).reshape(len(settings), -1)
+        support = (2 * support[:, None] + (np.arange(4) > 0)).reshape(-1)
+    rank = sum(int(np.linalg.matrix_rank(terms[:, support == s], tol=1e-10))
+               for s in range(2**n))
+    if rank < 4**n:
+        raise IncompleteSettingsError(f"settings span rank {rank} < {4**n}; "
+                                      "reconstruction would be underdetermined")
 
 
-def _check_informationally_complete(kets: np.ndarray, dim: int) -> None:
-    """Raise unless the outcome projectors span the dim x dim operator space."""
-    rank = np.linalg.matrix_rank(_design_matrix(kets), tol=1e-10)
-    if rank < dim * dim:
-        raise IncompleteSettingsError(
-            f"settings span rank {rank} < {dim * dim}; reconstruction would be underdetermined"
-        )
+def _born_probabilities(v: np.ndarray, vc: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """<v_k| r |v_k> for every row k of v (vc = v.conj()): one matrix product."""
+    return np.sum((vc @ r) * v, axis=1).real
 
 
 def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> TomographyReport:
@@ -90,40 +104,29 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
     if any(t.setting.n_qubits != n for t in tables):
         raise ValueError("all count tables must cover the same register size")
     d = 2**n
-    ket_tables = [outcome_kets(t.setting) for t in tables]  # row o = ket of outcome o
-    _check_informationally_complete(np.concatenate(ket_tables), d)
+    _check_informationally_complete([t.setting for t in tables], n)
 
-    kets = []
-    counts = []
-    for t, rows in zip(tables, ket_tables):
-        for bits, c in t.counts.items():
-            kets.append(rows[int(bits, 2)])
-            counts.append(float(c))
-    v = np.array(kets)  # (K, d), row k = ket of observed outcome k
+    observed = [(outcome_kets(t.setting), t.counts) for t in tables]  # row o = ket of o
+    v = np.array([rows[int(bits, 2)] for rows, counts in observed for bits in counts])
     vc = v.conj()
-    ns = np.array(counts)
+    ns = np.array([float(c) for _, counts in observed for c in counts.values()])
     n_total = float(ns.sum())
 
-    def probs_of(r):
-        """<v_k| r |v_k> for every row: one matrix product, then row sums."""
-        p = np.sum((vc @ r) * v, axis=1).real
-        return np.clip(p, 1e-12, None)
-
-    def ll_of(p):
-        return float(ns @ np.log(p))
+    def likelihood(r):
+        """Clipped outcome probabilities of r and their log-likelihood."""
+        p = np.clip(_born_probabilities(v, vc, r), 1e-12, None)
+        return p, float(ns @ np.log(p))
 
     def step(op, r):
         """op r op normalised, with its outcome probabilities and log-likelihood."""
         out = op @ r @ op
         out = (out + out.conj().T) / 2.0
         out /= np.trace(out).real
-        p = probs_of(out)
-        return out, p, ll_of(p)
+        return (out, *likelihood(out))
 
     eye = np.eye(d, dtype=np.complex128)
     rho = eye / d
-    p = probs_of(rho)
-    ll = ll_of(p)
+    p, ll = likelihood(rho)
     history = [ll]
     converged = False
     iterations = 0

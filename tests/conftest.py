@@ -302,6 +302,12 @@ def composed_undo_phase(rho):
 
 # ----------------------------------------------------------- tomography design
 
+def design_matrix(kets: np.ndarray) -> np.ndarray:
+    """Row k is the flattened projector |v_k><v_k| of the stacked ket v_k: one
+    broadcast product, which rounds exactly as ``np.outer`` does."""
+    return (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
+
+
 def loop_design_matrix(settings):
     """Tomography design matrix row by row: one flattened np.outer per
     outcome ket of each setting, settings in order."""
@@ -310,3 +316,8 @@ def loop_design_matrix(settings):
         for v in outcome_kets(setting):
             rows.append(np.outer(v, v.conj()).reshape(-1))
     return np.array(rows)
+
+
+def kron_outcome_kets(setting):
+    """Outcome kets of a setting as an np.kron chain of the per-qubit bases."""
+    return kron_chain(*[np.vstack(basis_vectors(b)) for b in setting.bases])

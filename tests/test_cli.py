@@ -406,6 +406,75 @@ def test_tables_shots_bound_is_the_sampling_bound(tmp_path):
         cli_mod._read_tables(str(bad))
 
 
+def _one_qubit_tables(shots_x=300):
+    """A complete 1-qubit set; the X table may differ in shots from Y and Z."""
+    return [_table_line(["X"], shots_x, {"0": shots_x // 2, "1": shots_x - shots_x // 2}),
+            _table_line(["Y"], 300, {"0": 150, "1": 150}),
+            _table_line(["Z"], 300, {"0": 300})]
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--shots", "999"], ["--shots"]),
+    (["--seed", "77"], ["--seed"]),
+    (["--ideal"], ["--ideal"]),
+    (["--noiseless"], ["--ideal"]),
+    (["--calibrated"], ["--calibrated"]),
+    (["--tau", "3"], ["--tau"]),
+    (["--theta", "0.1"], ["--theta"]),
+    (["--imbalance", "0.3"], ["--imbalance"]),
+    (["--spatial-white-noise", "0.1"], ["--spatial-white-noise"]),
+    (["--storage-time", "5"], ["--storage-time"]),
+    (["--osc-amp", "0.3", "--osc-freq", "2"], ["--osc-amp", "--osc-freq"]),
+    (["--envelope", "exponential"], ["--envelope"]),
+    (["--shots", "999", "--seed", "77", "--imbalance", "0.3", "--tau", "3",
+      "--storage-time", "5"], ["--shots", "--seed", "--tau", "--imbalance", "--storage-time"]),
+])
+def test_tables_in_excludes_sampling_and_model_flags(flags, named, tmp_path, capsys):
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text("".join(_one_qubit_tables()))
+    code = main(["tomography", "--tables-in", str(tables), *flags,
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tables-in") and err.count("\n") == 1
+    assert all(flag in err for flag in named)
+
+
+def test_tables_in_excludes_model_keys_from_a_config_file(tmp_path, capsys):
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text("".join(_one_qubit_tables()))
+    config = tmp_path / "run.cfg"
+    config.write_text("calibrated = true\n")
+    code = main(["tomography", "--config", str(config), "--tables-in", str(tables),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert "--calibrated" in capsys.readouterr().err
+
+
+def test_tables_in_allows_tables_out(tmp_path):
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text("".join(_one_qubit_tables()))
+    copy = tmp_path / "copy.jsonl"
+    code = main(["tomography", "--tables-in", str(tables), "--tables-out", str(copy),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    lines = [json.loads(line) for line in copy.read_text().splitlines()]
+    assert lines == [json.loads(line) for line in tables.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("x_last", [False, True])
+@pytest.mark.parametrize("shots_x,expected", [(600, None), (300, 300)])
+def test_shots_per_setting_is_common_value_or_null(shots_x, expected, x_last, tmp_path):
+    lines = _one_qubit_tables(shots_x)
+    if x_last:
+        lines = lines[1:] + lines[:1]
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text("".join(lines))
+    code, out = run_cli(["tomography", "--tables-in", str(tables)], tmp_path, "t.json")
+    assert code == 0
+    assert json.loads(out.read_text())["shots_per_setting"] == expected
+
+
 @pytest.mark.parametrize("flag", ["--config", "--noise-file", "--tables-in"])
 def test_undecodable_input_file_exit_2(flag, tmp_path):
     path = tmp_path / "binary"

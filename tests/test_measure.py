@@ -127,6 +127,18 @@ def test_born_probabilities_sum_to_one_per_setting():
         assert (probs >= 0).all()
 
 
+def test_forbidden_outcomes_have_exactly_zero_probability():
+    # A zero-probability outcome takes no multinomial draw, so a residue such as
+    # 1e-34 in place of 0.0 would change every sampled count table.
+    rho = density(cluster_statevector())
+    probs = setting_probabilities(rho, MeasurementSetting.from_pauli_labels("XXYY"))
+    assert (probs == 0.0).sum() == 8
+    assert probs[probs != 0.0] == pytest.approx(np.full(8, 1 / 8), abs=1e-12)
+    for setting in pauli_settings(4):
+        probs = setting_probabilities(rho, setting)
+        assert (probs[probs < 1e-12] == 0.0).all(), setting.to_tokens()
+
+
 def test_sample_counts_deterministic_state():
     tables = sample_counts(
         density(computational_ket("0000")),

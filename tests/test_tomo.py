@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,8 @@ from onewaysim.tomo import (
 from conftest import (
     composed_undo_phase,
     computational_ket,
+    design_matrix,
+    kron_outcome_kets,
     loop_design_matrix,
     random_density_matrix,
 )
@@ -119,7 +123,7 @@ _BASES = st.sampled_from([MeasurementBasis.pauli(c) for c in "XYZ"]) | st.floats
 
 @st.composite
 def _settings_lists(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     setting = st.lists(_BASES, min_size=n, max_size=n).map(MeasurementSetting)
     return draw(st.lists(setting, min_size=1, max_size=5))
 
@@ -128,7 +132,57 @@ def _settings_lists(draw):
 @given(setting_list=_settings_lists())
 def test_design_matrix_equals_loop_oracle(setting_list):
     kets = np.concatenate([outcome_kets(s) for s in setting_list])
-    assert np.array_equal(tomo._design_matrix(kets), loop_design_matrix(setting_list))
+    assert np.array_equal(design_matrix(kets), loop_design_matrix(setting_list))
+
+
+# Angles on a pi/8 grid: a degenerate list is then exactly degenerate, never a
+# rounding residue away from the rank tolerance.
+_GRID_BASES = st.sampled_from([MeasurementBasis.pauli(c) for c in "XYZ"]) | st.integers(
+    -16, 16).map(lambda k: MeasurementBasis.equatorial(k * np.pi / 8))
+
+
+@st.composite
+def _rank_cases(draw):
+    """(settings, n): a random subset of the 3^n Pauli settings, or a random
+    list of equatorial and Pauli settings, on n = 1-4 qubits."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        paulis = draw(st.permutations(pauli_settings(n)))
+        return paulis[:draw(st.integers(1, len(paulis)))], n
+    setting = st.lists(_GRID_BASES, min_size=n, max_size=n).map(MeasurementSetting)
+    return draw(st.lists(setting, min_size=1, max_size=3**n + 3)), n
+
+
+def _block_rank(setting_list, n):
+    try:
+        tomo._check_informationally_complete(setting_list, n)
+    except IncompleteSettingsError as exc:
+        return int(re.search(r"rank (\d+) < ", str(exc)).group(1))
+    return 4**n
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_rank_cases())
+def test_block_rank_equals_design_matrix_rank(case):
+    setting_list, n = case
+    kets = np.concatenate([outcome_kets(s) for s in setting_list])
+    assert _block_rank(setting_list, n) == np.linalg.matrix_rank(design_matrix(kets), tol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting_list=_settings_lists())
+def test_outcome_kets_equal_kron_oracle(setting_list):
+    for setting in setting_list:
+        assert np.array_equal(outcome_kets(setting), kron_outcome_kets(setting))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting_list=_settings_lists(), seed=st.integers(0, 2**32 - 1))
+def test_likelihood_kernel_matches_einsum(setting_list, seed):
+    r = random_density_matrix(setting_list[0].n_qubits, seed)
+    v = np.concatenate([outcome_kets(s) for s in setting_list])
+    expected = np.real(np.einsum("ki,ij,kj->k", v.conj(), r, v))
+    assert np.abs(tomo._born_probabilities(v, v.conj(), r) - expected).max() <= 1e-15
 
 
 def test_outcome_kets_built_once_per_table(monkeypatch):
