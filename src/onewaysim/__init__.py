@@ -55,7 +55,6 @@ from .measure import (
 )
 from .tomo import (
     IncompleteSettingsError,
-    MLConfig,
     TomographyReport,
     reconstruct,
     reduced_fidelities,

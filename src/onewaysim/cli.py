@@ -38,7 +38,9 @@ class ConfigError(ValueError):
 
 def _opt(default, **meta):
     """A ScenarioConfig field with parser metadata: ``help``, ``choices``, ``aliases``,
-    ``angle`` (accepts pi forms) and ``noise`` (allowed in a noise file)."""
+    ``angle`` (accepts pi forms) and ``group``, the part of the sampled model it
+    sets: sampling, source, prep, storage (these two make up a noise file) or
+    target (calibration targets)."""
     return field(default=default, metadata=meta)
 
 
@@ -54,8 +56,8 @@ class ScenarioConfig:
     scenario: str = ""
     alpha: float = _opt(0.0, angle=True)
     beta: float = _opt(0.0, angle=True)
-    shots: int = 0
-    seed: int = 0
+    shots: int = _opt(0, group="sampling")
+    seed: int = _opt(0, group="sampling")
     out: Optional[str] = None
     format: Optional[str] = _opt(None, choices=("json", "csv"))  # None = csv for tables, else json
     verify: bool = False
@@ -65,17 +67,18 @@ class ScenarioConfig:
     tables_out: Optional[str] = _opt(
         None, help="also write the sampled count tables as JSON lines")
     # preparation
-    theta: float = _opt(0.0, angle=True, noise=True)
-    imbalance: float = _opt(1.0, noise=True)
-    spatial_white_noise: float = _opt(0.0, noise=True)
-    ideal: bool = _opt(False, aliases=("--noiseless",), help="no preparation or storage noise")
-    calibrated: bool = _opt(False, help="use the calibrated noise model")
+    theta: float = _opt(0.0, angle=True, group="prep")
+    imbalance: float = _opt(1.0, group="prep")
+    spatial_white_noise: float = _opt(0.0, group="prep")
+    ideal: bool = _opt(False, aliases=("--noiseless",), group="source",
+                       help="no preparation or storage noise")
+    calibrated: bool = _opt(False, group="source", help="use the calibrated noise model")
     # storage noise
-    tau: Optional[float] = _opt(None, noise=True)
-    osc_amp: float = _opt(0.0, noise=True)
-    osc_freq: float = _opt(0.0, noise=True)
-    envelope: str = _opt("gaussian", choices=("gaussian", "exponential"), noise=True)
-    storage_time: float = _opt(0.0, noise=True)
+    tau: Optional[float] = _opt(None, group="storage")
+    osc_amp: float = _opt(0.0, group="storage")
+    osc_freq: float = _opt(0.0, group="storage")
+    envelope: str = _opt("gaussian", choices=("gaussian", "exponential"), group="storage")
+    storage_time: float = _opt(0.0, group="storage")
     # rotation / sweep
     feedforward: bool = True
     mode: str = _opt("rz", choices=mbqc.SWEEP_MODES)
@@ -83,10 +86,10 @@ class ScenarioConfig:
     # lifetime grid and calibration targets
     t_max: float = 25.0
     t_step: float = 0.5
-    target_t1: float = min(noise.DEFAULT_CALIBRATION_TARGETS)
-    target_f1: float = noise.DEFAULT_CALIBRATION_TARGETS[target_t1]
-    target_t2: float = max(noise.DEFAULT_CALIBRATION_TARGETS)
-    target_f2: float = noise.DEFAULT_CALIBRATION_TARGETS[target_t2]
+    target_t1: float = _opt(min(noise.DEFAULT_CALIBRATION_TARGETS), group="target")
+    target_f1: float = _opt(noise.DEFAULT_CALIBRATION_TARGETS[target_t1.default], group="target")
+    target_t2: float = _opt(max(noise.DEFAULT_CALIBRATION_TARGETS), group="target")
+    target_f2: float = _opt(noise.DEFAULT_CALIBRATION_TARGETS[target_t2.default], group="target")
     # latency budget
     eom_response: float = timing.REFERENCE_BUDGET.eom_response
     optical_propagation: float = timing.REFERENCE_BUDGET.optical_propagation
@@ -133,8 +136,18 @@ _FIELDS = fields(ScenarioConfig)
 _HINTS = get_type_hints(ScenarioConfig)
 _FIELD_KINDS = {f.name: _kind(f, _HINTS) for f in _FIELDS}
 _CHOICES = {f.name: f.metadata["choices"] for f in _FIELDS if "choices" in f.metadata}
-_NOISE_FILE_KEYS = {f.name for f in _FIELDS if f.metadata.get("noise")}
 _DEFAULTS = {f.name: f.default for f in _FIELDS}
+
+
+def _group(*groups: str) -> tuple:
+    """Names of the fields tagged with one of ``groups``, in field order."""
+    return tuple(f.name for f in _FIELDS if f.metadata.get("group") in groups)
+
+
+_PREP_KEYS, _STORAGE_KEYS, _TARGET_KEYS = _group("prep"), _group("storage"), _group("target")
+_NOISE_FILE_KEYS = _group("prep", "storage")
+# Everything that shapes sampled counts, which --tables-in replaces.
+_SAMPLING_KEYS = _group("sampling", "source", "prep", "storage", "target")
 
 
 def _coerce(key: str, raw) -> object:
@@ -260,11 +273,6 @@ def _calibration_targets(config: ScenarioConfig) -> dict:
     return {config.target_t1: config.target_f1, config.target_t2: config.target_f2}
 
 
-_PREP_KEYS = ("theta", "imbalance", "spatial_white_noise")
-_STORAGE_KEYS = ("osc_amp", "osc_freq", "envelope", "storage_time")
-_SAMPLING_KEYS = ("shots", "seed", "ideal", "calibrated", "tau", *_PREP_KEYS, *_STORAGE_KEYS)
-
-
 def _given(config: ScenarioConfig, keys) -> list:
     """Flags of ``keys`` whose value differs from its default (flag or file alike)."""
     return [_flag(k) for k in keys if getattr(config, k) != _DEFAULTS[k]]
@@ -272,14 +280,17 @@ def _given(config: ScenarioConfig, keys) -> list:
 
 def _check_model_source(config: ScenarioConfig) -> None:
     """Config error unless the model comes from one source."""
+    targets = [] if config.calibrated else _given(config, _TARGET_KEYS)
+    if targets:
+        raise ConfigError(f"{', '.join(targets)}: calibration targets need --calibrated")
     if config.ideal:
         rule = "--ideal/--noiseless excludes {}"
-        excluded = ("calibrated", "tau", *_PREP_KEYS, *_STORAGE_KEYS)
+        excluded = ("calibrated", *_PREP_KEYS, *_STORAGE_KEYS)
     elif config.calibrated:
         rule, excluded = "--calibrated fits prep and tau; it excludes {}", ("tau", *_PREP_KEYS)
     else:
         rule = "{}: no storage model to apply to; pass --tau or --calibrated"
-        excluded = () if config.tau is not None else _STORAGE_KEYS
+        excluded = () if config.tau is not None else _STORAGE_KEYS  # holds tau, unset here
     given = _given(config, excluded)
     if given:
         raise ConfigError(rule.format(", ".join(given)))

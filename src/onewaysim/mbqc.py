@@ -35,7 +35,6 @@ from .qcore import (
     fidelity,
     phase_aligned_distance,
     plus_ket,
-    project,
     rho_to_entry_list,
     rotation_gate,
 )
@@ -50,8 +49,10 @@ _LIN3_INDEX = _permute_tensor(np.arange(16), LIN3_ORDER, 4, matrix=False)  # new
 _OUTER_HADAMARDS = _embed_matrix(np.kron(HADAMARD.entries, HADAMARD.entries), (1, 4), 4)
 _LIN3_MAPS = tuple(_OUTER_HADAMARDS[8 * o:8 * o + 8][:, np.argsort(_LIN3_INDEX)]
                    for o in (0, 1))
-# Pauli byproducts of the outcomes (s2, s3), undone as plain 2x2 products.
-_BYPRODUCTS = (PAULI_Z.entries, PAULI_X.entries)
+# The Pauli byproduct X^s3 Z^s2 of each branch (s2, s3), in sorted branch order.
+_BYPRODUCTS = {(s2, s3): np.linalg.matrix_power(PAULI_X.entries, s3)
+               @ np.linalg.matrix_power(PAULI_Z.entries, s2)
+               for s2 in (0, 1) for s3 in (0, 1)}
 
 #: Postselection outcome for the removed qubit.  Outcome 1 yields the same
 #: protocol after a known local Z on the first remaining qubit (see tests).
@@ -154,33 +155,30 @@ def rotation_target(alpha: float, beta: float) -> StateVector:
     return StateVector(1, rotation_gate("x", -beta).entries @ out)
 
 
-def _equatorial_bra(angle: float, outcome: int) -> np.ndarray:
-    v0, v1 = basis_vectors(MeasurementBasis.equatorial(angle))
-    return (v0 if outcome == 0 else v1).conj()
+def _branches(values: np.ndarray, alpha: float, beta: float, feedforward: bool):
+    """Measure lin3 qubits 1 and 2 on all four branches, one batched projection each.
 
-
-def _enumerate_branches(lin3: DensityMatrix, alpha: float, beta: float, feedforward: bool):
-    """Exact (probability, pre-correction state, corrected matrix) per branch."""
-    branches = {}
-    for s2 in (0, 1):
-        mid, p2 = project(lin3.entries, _equatorial_bra(alpha, s2))
-        if p2 < 1e-12:
-            continue
-        mid = mid / p2
-        beta_eff = ((-1) ** s2) * beta if feedforward else beta
-        for s3 in (0, 1):
-            out, p3 = project(mid, _equatorial_bra(beta_eff, s3))
-            prob = p2 * p3
-            if prob < 1e-12:
-                continue
-            raw = DensityMatrix(1, out / p3)
-            corrected = raw.entries
-            if feedforward:
-                for flip, u in zip((s2, s3), _BYPRODUCTS):
-                    if flip:
-                        corrected = u @ corrected @ u.conj().T
-            branches[(s2, s3)] = (prob, raw, corrected)
-    return branches
+    ``values`` is a 3-qubit ket or density matrix.  Stage 1 projects qubit 1
+    onto both rows of B(alpha); stage 2 projects qubit 2 of each normalised
+    result onto B(beta), or onto B((-1)^s2 beta) under feedforward.  Returns
+    p2[s2], p3[s2, s3] (the probability of s3 given s2) and out[s2, s3], the
+    unnormalised qubit-3 ket or matrix.
+    """
+    bras1 = np.conj(basis_vectors(MeasurementBasis.equatorial(alpha)))
+    signs = (1, -1) if feedforward else (1, 1)
+    bras2 = np.conj([basis_vectors(MeasurementBasis.equatorial(s * beta)) for s in signs])
+    if values.ndim == 2:
+        mid = np.einsum("sa,abcd,sc->sbd", bras1, values.reshape(2, 4, 2, 4), bras1.conj())
+        p2 = np.real(np.trace(mid, axis1=1, axis2=2))
+        mid = (mid / p2[:, None, None]).reshape(2, 2, 2, 2, 2)
+        out = np.einsum("sta,sabcd,stc->stbd", bras2, mid, bras2.conj())
+        return p2, np.real(np.trace(out, axis1=2, axis2=3)), out
+    # A ket bra by bra as vector-matrix products, which round as one bra's do.
+    mid = (bras1[:, None, :] @ values.reshape(2, 4))[:, 0]
+    p2 = np.real(mid.conj()[:, None, :] @ mid[:, :, None])[:, 0, 0]
+    mid = (mid / np.sqrt(p2)[:, None]).reshape(2, 1, 2, 2)
+    out = (bras2[:, :, None, :] @ mid)[:, :, 0]
+    return p2, np.real(out.conj()[..., None, :] @ out[..., None])[..., 0, 0], out
 
 
 def _cluster_for_request(req: RotationRequest) -> DensityMatrix:
@@ -208,10 +206,10 @@ def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> Ro
 def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
                  rng: Optional[RandomSource]) -> RotationResult:
     """The rotation protocol of ``req`` on an already reduced lin3 cluster."""
-    branches = _enumerate_branches(lin3, req.alpha, req.beta, req.feedforward_enabled)
-
-    keys = sorted(branches.keys())
-    weights = np.array([branches[k][0] for k in keys])
+    p2, p3, out = _branches(lin3.entries, req.alpha, req.beta, req.feedforward_enabled)
+    exact = p2[:, None] * p3
+    keys = [k for k in _BYPRODUCTS if exact[k] >= 1e-12]  # NaN from p2 = 0 fails too
+    weights = np.array([exact[k] for k in keys])
     if req.shots >= 1:
         gen = (rng or RandomSource(0)).generator()
         drawn = gen.multinomial(req.shots, weights / weights.sum())
@@ -220,8 +218,11 @@ def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
     mix = np.zeros((2, 2), dtype=np.complex128)
     outputs = {}
     for k, w in zip(keys, weights):
-        prob, raw, corrected = branches[k]
+        raw = DensityMatrix(1, out[k] / p3[k])
         outputs[k] = BranchOutput(probability=float(w), state=raw)
+        corrected = raw.entries
+        if req.feedforward_enabled:
+            corrected = _BYPRODUCTS[k] @ corrected @ _BYPRODUCTS[k].conj().T
         mix += w * corrected
     corrected_output = DensityMatrix(1, mix)
     target = rotation_target(req.alpha, req.beta)
@@ -236,17 +237,16 @@ def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
 def single_shot_trace(req: RotationRequest, rng) -> FeedforwardTrace:
     """One sequential shot through the protocol, recording the event order.
 
-    s2 is drawn from its marginal over the exact branch weights, then s3 from
-    its weight given s2; both draws take one uniform each from one shared
+    s2 is drawn from its exact probability p2, then s3 from p3[s2], its
+    probability given s2; both draws take one uniform each from one shared
     stream (a ``RandomSource`` or a numpy ``Generator`` to advance).
     """
     gen = _as_generator(rng)
     lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
     ff = req.feedforward_enabled
-    branches = _enumerate_branches(lin3, req.alpha, req.beta, ff)
-    p = np.array([[branches.get((s2, s3), (0.0,))[0] for s3 in (0, 1)] for s2 in (0, 1)])
-    s2 = 0 if gen.random() < p[0].sum() / p.sum() else 1
-    s3 = 0 if gen.random() < p[s2, 0] / p[s2].sum() else 1
+    p2, p3, _ = _branches(lin3.entries, req.alpha, req.beta, ff)
+    s2 = 0 if gen.random() < p2[0] / p2.sum() else 1
+    s3 = 0 if gen.random() < p3[s2, 0] / p3[s2].sum() else 1
     beta_eff = ((-1) ** s2) * req.beta if ff else req.beta
     return FeedforwardTrace(s2=s2, basis_angle_q3=beta_eff, s3=s3,
                             z_power=s2 if ff else 0, x_power=s3 if ff else 0)
@@ -263,24 +263,13 @@ def branch_verify(alpha: float, beta: float, tol: float = 1e-9):
     up to a global phase.  Returns (all_pass, {(s2, s3): residual}).
     """
     lin3, _ = to_lin3(cluster_statevector(), POSTSELECT_OUTCOME)
+    _, p3, out = _branches(lin3.amplitudes, alpha, beta, feedforward=False)
     residuals = {}
-    for s2 in (0, 1):
-        v2, _ = project(lin3.amplitudes, _equatorial_bra(alpha, s2))
-        for s3 in (0, 1):
-            v3, _ = project(v2, _equatorial_bra(beta, s3))
-            norm = np.linalg.norm(v3)
-            measured = StateVector(1, v3 / norm)
-            expected = _branch_formula(alpha, beta, s2, s3)
-            residuals[(s2, s3)] = phase_aligned_distance(expected, measured)
+    for (s2, s3), u in _BYPRODUCTS.items():
+        measured = StateVector(1, out[s2, s3] / math.sqrt(p3[s2, s3]))
+        expected = StateVector(1, u @ rotation_target(alpha, ((-1) ** s2) * beta).amplitudes)
+        residuals[(s2, s3)] = phase_aligned_distance(expected, measured)
     return all(r <= tol for r in residuals.values()), residuals
-
-
-def _branch_formula(alpha: float, beta: float, s2: int, s3: int) -> StateVector:
-    out = rotation_target(alpha, ((-1) ** s2) * beta).amplitudes
-    for flip, u in zip((s2, s3), _BYPRODUCTS):
-        if flip:
-            out = u @ out
-    return StateVector(1, out)
 
 
 @dataclass(frozen=True)

@@ -354,20 +354,6 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel, targets: Sequence[int]
     return DensityMatrix(n, out)
 
 
-def project(values: np.ndarray, bra: np.ndarray):
-    """Project qubit 1 of a ket or density matrix onto ``<bra|`` and drop it.
-
-    Returns the unnormalised ket or matrix on the remaining qubits and the
-    outcome probability.
-    """
-    rest = len(values) // 2
-    if values.ndim == 1:
-        vec = bra @ values.reshape(2, rest)
-        return vec, float(np.real(np.vdot(vec, vec)))
-    mat = np.einsum("a,abcd,c->bd", bra, values.reshape(2, rest, 2, rest), bra.conj())
-    return mat, float(np.real(np.trace(mat)))
-
-
 def rho_to_entry_list(rho: DensityMatrix) -> list:
     """Flat (row, col, re, im) list of all matrix entries."""
     m = rho.entries

@@ -29,23 +29,10 @@ class IncompleteSettingsError(ValueError):
     """The measurement settings do not span the operator space."""
 
 
-@dataclass(frozen=True)
-class MLConfig:
-    """Optimizer knobs.
-
-    max_iterations caps the RρR steps; ll_tolerance is the per-shot mean
-    log-likelihood improvement below which the iteration stops.  The start
-    state is always the maximally mixed I/d.
-    """
-
-    max_iterations: int = 2000
-    ll_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not self.ll_tolerance > 0:
-            raise ValueError(f"ll_tolerance must be > 0, got {self.ll_tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+#: Cap on the RρR steps of one reconstruction, which starts from I/d.
+MAX_ITERATIONS = 2000
+#: Per-shot mean log-likelihood improvement below which the iteration stops.
+LL_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,7 +78,7 @@ def _born_probabilities(v: np.ndarray, vc: np.ndarray, r: np.ndarray) -> np.ndar
     return np.sum((vc @ r) * v, axis=1).real
 
 
-def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> TomographyReport:
+def reconstruct(tables: Sequence[CountTable]) -> TomographyReport:
     """Maximum-likelihood state estimate from per-setting outcome counts.
 
     Raises IncompleteSettingsError when the settings are not informationally
@@ -131,7 +118,7 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
     converged = False
     iterations = 0
 
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         w = ns / (n_total * p)
         r_op = (v.T * w) @ vc
         candidate, p_new, ll_new = step(r_op, rho)
@@ -151,7 +138,7 @@ def reconstruct(tables: Sequence[CountTable], cfg: MLConfig = MLConfig()) -> Tom
         improvement = ll_new - ll
         rho, p, ll = candidate, p_new, ll_new
         history.append(ll)
-        if improvement / n_total < cfg.ll_tolerance:
+        if improvement / n_total < LL_TOLERANCE:
             converged = True
             break
 

@@ -72,6 +72,30 @@ def test_rotate_json_branches(tmp_path):
     assert payload["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
+NOISE = ["--imbalance", "0.446333", "--spatial-white-noise", "0.066685", "--tau", "20.8212"]
+
+
+@pytest.mark.parametrize("argv,frequencies", [
+    (["--alpha", "1.879025", "--beta", "0.935895", "--storage-time", "1.834674",
+      "--seed", "751090000"], {"00": 0.219, "01": 0.211, "10": 0.294, "11": 0.276}),
+    (["--alpha", "5.277501", "--beta", "5.829649", "--storage-time", "8.889658",
+      "--seed", "1196800052"], {"00": 0.297, "01": 0.332, "10": 0.196, "11": 0.175}),
+    (["--alpha", "0.880012", "--beta", "2.607959", "--storage-time", "14.730766",
+      "--seed", "2024100047", "--no-feedforward"],
+     {"00": 0.307, "01": 0.306, "10": 0.209, "11": 0.178}),
+    (["--alpha", "0.596696", "--beta", "0.986690", "--storage-time", "8.235782",
+      "--seed", "827306531", "--no-feedforward"],
+     {"00": 0.335, "01": 0.358, "10": 0.151, "11": 0.156}),
+])
+def test_sampled_rotate_branch_frequencies_golden(argv, frequencies, tmp_path):
+    # Every model gives P(s3|s2) = 1/2, where numpy's binomial switches
+    # algorithm, so a 1e-16 drift in the exact weights swaps these counts.
+    code, out = run_cli(["rotate", *NOISE, "--shots", "1000", *argv], tmp_path)
+    assert code == 0
+    branches = json.loads(out.read_text())["branches"]
+    assert {k: b["probability"] for k, b in branches.items()} == frequencies
+
+
 def test_lifetime_calibrated_crosses_half_near_reference_time(tmp_path):
     code, out = run_cli(
         ["lifetime", "--calibrated", "--t-max", "25", "--t-step", "0.5"], tmp_path
@@ -263,6 +287,10 @@ def test_stdout_when_no_out(capsys):
     ["witness", "--storage-time", "5", "--imbalance", "0.5"],
     ["rotate", "--osc-amp", "0.3", "--osc-freq", "2"],
     ["sweep", "--envelope", "exponential"],
+    # Calibration targets without --calibrated.
+    ["witness", "--target-t1", "3", "--target-f1", "0.9"],
+    ["lifetime", "--tau", "5", "--target-t2", "12"],
+    ["rotate", "--noiseless", "--target-f2", "0.45"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -428,6 +456,8 @@ def _one_qubit_tables(shots_x=300):
     (["--envelope", "exponential"], ["--envelope"]),
     (["--shots", "999", "--seed", "77", "--imbalance", "0.3", "--tau", "3",
       "--storage-time", "5"], ["--shots", "--seed", "--tau", "--imbalance", "--storage-time"]),
+    (["--target-t1", "3", "--target-f1", "0.9"], ["--target-t1", "--target-f1"]),
+    (["--calibrated", "--target-f2", "0.45"], ["--calibrated", "--target-f2"]),
 ])
 def test_tables_in_excludes_sampling_and_model_flags(flags, named, tmp_path, capsys):
     tables = tmp_path / "tables.jsonl"

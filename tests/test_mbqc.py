@@ -16,6 +16,7 @@ from onewaysim.mbqc import (
     LIN3_ORDER,
     RotationNoise,
     RotationRequest,
+    _branches,
     branch_verify,
     result_to_json_dict,
     rotation_target,
@@ -39,6 +40,7 @@ from onewaysim.qcore import (
 from conftest import (
     aligned_distance,
     composed_lin3,
+    project,
     random_density_matrix,
     random_state_vector,
     sequential_shot_trace,
@@ -298,6 +300,25 @@ def test_branch_verify_dense_grid():
             assert ok
             worst = max(worst, max(residuals.values()))
     assert worst < 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), matrix=st.booleans(), feedforward=st.booleans(),
+       alpha=st.floats(0.0, 2 * math.pi), beta=st.floats(0.0, 2 * math.pi))
+def test_branches_match_sequential_projections(seed, matrix, feedforward, alpha, beta):
+    # Oracle: one any-qubit projection per outcome, qubit 1 then qubit 2 of
+    # the normalised result; the batched stages must round the same way.
+    values = random_density_matrix(3, seed) if matrix else random_state_vector(3, seed)
+    p2, p3, out = _branches(values, alpha, beta, feedforward)
+    for s2 in (0, 1):
+        mid, want_p2 = project(values, 3, 1, equatorial_bra(alpha, s2))
+        assert p2[s2] == want_p2
+        mid = mid / (want_p2 if matrix else math.sqrt(want_p2))
+        beta_s2 = ((-1) ** s2) * beta if feedforward else beta
+        for s3 in (0, 1):
+            want, want_p3 = project(mid, 2, 1, equatorial_bra(beta_s2, s3))
+            assert np.array_equal(out[s2, s3], want)
+            assert p3[s2, s3] == want_p3
 
 
 @settings(max_examples=30, deadline=None)

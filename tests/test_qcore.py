@@ -20,7 +20,6 @@ from onewaysim.qcore import (
     permute_qubits,
     phase_aligned_distance,
     plus_ket,
-    project,
     rotation_gate,
 )
 from conftest import (
@@ -34,9 +33,7 @@ from conftest import (
     computational_ket,
     kron_chain,
     pauli_matrix,
-    random_density_matrix,
     random_state_vector,
-    project as project_any_qubit,
     random_unitary,
     states_equal,
     tensor,
@@ -241,19 +238,6 @@ def test_partial_trace_order_independent_composition():
     a = partial_trace(partial_trace(rho, (1, 2, 3)), (1, 2))
     b = partial_trace(rho, (1, 2))
     assert np.abs(a.entries - b.entries).max() < 1e-12
-
-
-# ------------------------------------------------------------------ project
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), matrix=st.booleans())
-def test_project_first_qubit_matches_general_projection(n, seed, matrix):
-    values = random_density_matrix(n, seed) if matrix else random_state_vector(n, seed)
-    bra = np.random.default_rng(seed).normal(size=(2, 2)) @ np.array([1, 1j])
-    got, p_got = project(values, bra)
-    want, p_want = project_any_qubit(values, n, 1, bra)
-    assert np.array_equal(got, want)
-    assert p_got == p_want
 
 
 # --------------------------------------------------------------- expectation

@@ -32,7 +32,6 @@ from onewaysim.qcore import (
 )
 from onewaysim.tomo import (
     IncompleteSettingsError,
-    MLConfig,
     reconstruct,
     reduced_fidelities,
     report_to_json_dict,
@@ -195,7 +194,8 @@ def test_outcome_kets_built_once_per_table(monkeypatch):
         return outcome_kets(setting)
 
     monkeypatch.setattr(tomo, "outcome_kets", counting)
-    reconstruct(tables, MLConfig(max_iterations=2))
+    monkeypatch.setattr(tomo, "MAX_ITERATIONS", 2)
+    reconstruct(tables)
     assert len(calls) == len(tables) == 81
 
 
@@ -238,17 +238,11 @@ def test_data_processing_consistency():
     assert report.reduced_spatial_fidelity == pytest.approx(spa, abs=1e-12)
 
 
-def test_ml_config_validation():
-    with pytest.raises(ValueError):
-        MLConfig(ll_tolerance=0.0)
-    with pytest.raises(ValueError):
-        MLConfig(max_iterations=0)
-
-
-def test_max_iterations_flagged():
+def test_max_iterations_flagged(monkeypatch):
     rho = density(cluster_statevector())
     tables = sample_counts(rho, pauli_settings(4), 2000, RandomSource(1))
-    report = reconstruct(tables, MLConfig(max_iterations=3))
+    monkeypatch.setattr(tomo, "MAX_ITERATIONS", 3)
+    report = reconstruct(tables)
     assert report.iterations_used == 3
     assert not report.converged
 
