@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 from onewaysim.cli import emit_figure_data
-from onewaysim.mbqc import RotationNoise, RotationRequest, sweep, sweep_to_csv_rows
-from onewaysim.noise import calibrate
+from onewaysim.mbqc import RotationRequest, sweep, sweep_to_csv_rows
+from onewaysim.noise import NoiseModel, calibrate
 
 
 def main() -> int:
@@ -22,10 +22,10 @@ def main() -> int:
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
 
     result = calibrate()
-    bundle = RotationNoise(result.prep, result.noise, args.storage_time)
+    model = NoiseModel(result.prep, result.noise, args.storage_time)
     templates = {
         "noiseless": RotationRequest(alpha=0.0, beta=0.0),
-        "calibrated": RotationRequest(alpha=0.0, beta=0.0, noise=bundle),
+        "calibrated": RotationRequest(alpha=0.0, beta=0.0, noise=model),
     }
     for tag, template in templates.items():
         for mode in ("rx", "rz"):

@@ -8,9 +8,8 @@ import argparse
 import sys
 
 from onewaysim.cli import emit_figure_data
-from onewaysim.cluster import IDEAL_PREP, prepare_cluster
 from onewaysim.measure import RandomSource, pauli_settings, sample_counts
-from onewaysim.noise import apply_storage, calibrate
+from onewaysim.noise import NoiseModel, calibrate, noisy_cluster
 from onewaysim.tomo import reconstruct, report_to_json_dict
 
 
@@ -23,13 +22,13 @@ def main() -> int:
     parser.add_argument("--storage-time", type=float, default=2.27)
     args = parser.parse_args()
 
+    model = NoiseModel()
     if args.calibrated:
         result = calibrate()
-        rho = apply_storage(prepare_cluster(result.prep), args.storage_time, result.noise)
-    else:
-        rho = prepare_cluster(IDEAL_PREP)
+        model = NoiseModel(result.prep, result.noise, args.storage_time)
 
-    tables = sample_counts(rho, pauli_settings(4), args.shots, RandomSource(args.seed))
+    rng = RandomSource(args.seed)
+    tables = sample_counts(noisy_cluster(model), pauli_settings(4), args.shots, rng)
     report = reconstruct(tables)
     print(f"fidelity vs ideal cluster: {report.fidelity_vs_C4:.4f} "
           f"({report.iterations_used} iterations, converged={report.converged})",

@@ -40,10 +40,12 @@ from .noise import (
     CalibrationError,
     CalibrationResult,
     LifetimePoint,
+    NoiseModel,
     StorageNoiseParams,
     calibrate,
     coherence_retention,
     lifetime_curve,
+    noisy_cluster,
 )
 from .measure import (
     CountTable,
@@ -60,7 +62,6 @@ from .tomo import (
     reduced_fidelities,
 )
 from .mbqc import (
-    RotationNoise,
     RotationRequest,
     RotationResult,
     branch_verify,

@@ -78,7 +78,7 @@ class ScenarioConfig:
     osc_amp: float = _opt(0.0, group="storage")
     osc_freq: float = _opt(0.0, group="storage")
     envelope: str = _opt("gaussian", choices=("gaussian", "exponential"), group="storage")
-    storage_time: float = _opt(0.0, group="storage")
+    storage_time: Optional[float] = _opt(None, group="storage")  # None = t1 if calibrated, else 0
     # rotation / sweep
     feedforward: bool = True
     mode: str = _opt("rz", choices=mbqc.SWEEP_MODES)
@@ -259,7 +259,7 @@ def parse_args(argv=None) -> ScenarioConfig:
         raise ConfigError(f"shots must be in [0, 2^63), got {config.shots}")
     if not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2^64), got {config.seed}")
-    if config.storage_time < 0:
+    if config.storage_time is not None and config.storage_time < 0:
         raise ConfigError(f"storage_time must be >= 0, got {config.storage_time}")
     return config
 
@@ -278,11 +278,17 @@ def _given(config: ScenarioConfig, keys) -> list:
     return [_flag(k) for k in keys if getattr(config, k) != _DEFAULTS[k]]
 
 
+def _exclude(config: ScenarioConfig, keys, rule: str) -> None:
+    """Config error by ``rule`` naming the given flags of ``keys``, if any."""
+    given = _given(config, keys)
+    if given:
+        raise ConfigError(rule.format(", ".join(given)))
+
+
 def _check_model_source(config: ScenarioConfig) -> None:
     """Config error unless the model comes from one source."""
-    targets = [] if config.calibrated else _given(config, _TARGET_KEYS)
-    if targets:
-        raise ConfigError(f"{', '.join(targets)}: calibration targets need --calibrated")
+    if not config.calibrated:
+        _exclude(config, _TARGET_KEYS, "{}: calibration targets need --calibrated")
     if config.ideal:
         rule = "--ideal/--noiseless excludes {}"
         excluded = ("calibrated", *_PREP_KEYS, *_STORAGE_KEYS)
@@ -291,20 +297,20 @@ def _check_model_source(config: ScenarioConfig) -> None:
     else:
         rule = "{}: no storage model to apply to; pass --tau or --calibrated"
         excluded = () if config.tau is not None else _STORAGE_KEYS  # holds tau, unset here
-    given = _given(config, excluded)
-    if given:
-        raise ConfigError(rule.format(", ".join(given)))
+    _exclude(config, excluded, rule)
 
 
-def _resolve_model(config: ScenarioConfig):
-    """(prep, storage_noise or None, storage_time) from the one model source:
-    ``--ideal``, ``--calibrated`` or the explicit preparation with an optional
-    ``--tau``; the modulation flags apply on top of either envelope."""
+def _resolve_model(config: ScenarioConfig) -> noise.NoiseModel:
+    """The noise model of the one model source: ``--ideal``, ``--calibrated``
+    or the explicit preparation with an optional ``--tau``; the modulation
+    flags apply on top of either envelope.  Without ``--storage-time`` the
+    calibrated model stores for ``--target-t1``, the explicit one for 0 us."""
     _check_model_source(config)
+    t = config.storage_time
     if config.calibrated:
         result = noise.calibrate(_calibration_targets(config), envelope=config.envelope)
         prep, tau = result.prep, result.noise.tau
-        t = config.storage_time if config.storage_time > 0 else config.target_t1
+        t = config.target_t1 if t is None else t
     else:
         try:
             prep = cluster.PreparationParams(theta=config.theta, imbalance=config.imbalance,
@@ -312,27 +318,19 @@ def _resolve_model(config: ScenarioConfig):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if config.tau is None:
-            return prep, None, 0.0
-        tau, t = config.tau, config.storage_time
+            return noise.NoiseModel(prep)
+        tau, t = config.tau, 0.0 if t is None else t
     try:
         storage = noise.StorageNoiseParams(tau=tau, osc_amp=config.osc_amp,
                                            osc_freq=config.osc_freq, envelope=config.envelope)
         noise.coherence_retention(t, storage)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return prep, storage, t
-
-
-def _state_for(config: ScenarioConfig):
-    prep, storage, t = _resolve_model(config)
-    rho = cluster.prepare_cluster(prep)
-    if storage is not None and t > 0:
-        rho = noise.apply_storage(rho, t, storage)
-    return rho
+    return noise.NoiseModel(prep, storage, t)
 
 
 def _run_witness(config: ScenarioConfig):
-    report = cluster.evaluate_witness(_state_for(config))
+    report = cluster.evaluate_witness(noise.noisy_cluster(_resolve_model(config)))
     return {
         "expectation": report.expectation,
         "bound": report.fidelity_lower_bound,
@@ -341,8 +339,8 @@ def _run_witness(config: ScenarioConfig):
 
 
 def _run_lifetime(config: ScenarioConfig):
-    prep, storage, _ = _resolve_model(config)
-    if storage is None:
+    model = _resolve_model(config)
+    if model.storage is None:
         raise ConfigError("lifetime needs storage noise: pass --calibrated or --tau")
     if config.t_step <= 0 or config.t_max < 0:
         raise ConfigError("need t_step > 0 and t_max >= 0")
@@ -352,10 +350,10 @@ def _run_lifetime(config: ScenarioConfig):
                           f"of {MAX_LIFETIME_POINTS} points")
     times = [i * config.t_step for i in range(int(steps) + 1)]
     try:
-        noise.coherence_retention(times[-1], storage)  # checks the largest modulation phase
+        noise.coherence_retention(times[-1], model.storage)  # checks the largest modulation phase
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    points = noise.lifetime_curve(times, prep, storage)
+    points = noise.lifetime_curve(times, model.prep, model.storage)
     return ["t_us", "fidelity_bound"], [[p.t, p.fidelity_bound] for p in points]
 
 
@@ -385,13 +383,11 @@ def _read_tables(path: str) -> list:
 
 def _run_tomography(config: ScenarioConfig):
     if config.tables_in:
-        given = _given(config, _SAMPLING_KEYS)
-        if given:
-            raise ConfigError(f"--tables-in reconstructs from recorded counts; "
-                              f"it excludes {', '.join(given)}")
+        _exclude(config, _SAMPLING_KEYS, "--tables-in reconstructs from recorded counts; "
+                                         "it excludes {}")
         tables = _read_tables(config.tables_in)
     else:
-        rho = _state_for(config)
+        rho = noise.noisy_cluster(_resolve_model(config))
         shots = config.shots if config.shots >= 1 else 1000
         settings = measure.pauli_settings(4)
         tables = measure.sample_counts(rho, settings, shots, measure.RandomSource(config.seed))
@@ -412,14 +408,10 @@ def _run_tomography(config: ScenarioConfig):
 
 
 def _rotation_request(config: ScenarioConfig) -> mbqc.RotationRequest:
-    prep, storage, t = _resolve_model(config)
-    bundle = None
-    if storage is not None or prep != cluster.IDEAL_PREP:
-        bundle = mbqc.RotationNoise(prep=prep, storage=storage, storage_time=t)
     return mbqc.RotationRequest(
         alpha=config.alpha, beta=config.beta,
         feedforward_enabled=config.feedforward,
-        shots=config.shots, noise=bundle,
+        shots=config.shots, noise=_resolve_model(config),
     )
 
 
@@ -442,6 +434,7 @@ def _run_sweep(config: ScenarioConfig):
 
 
 def _run_budget(config: ScenarioConfig):
+    _exclude(config, _SAMPLING_KEYS, "budget takes no noise model or sampling; it excludes {}")
     terms = {f.name: getattr(config, f.name) for f in fields(timing.LatencyBudget)}
     try:
         budget = timing.LatencyBudget(**terms)

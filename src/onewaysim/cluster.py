@@ -41,8 +41,8 @@ class PreparationParams:
     spatial_white_noise: float = 0.0
 
     def __post_init__(self):
-        if not self.imbalance > 0:
-            raise ValueError(f"imbalance must be > 0, got {self.imbalance}")
+        if not (0 < self.imbalance and np.isfinite(self.imbalance * self.imbalance)):
+            raise ValueError(f"imbalance must be > 0 with a finite square, got {self.imbalance}")
         if not 0.0 <= self.spatial_white_noise <= 1.0:
             raise ValueError(
                 f"spatial_white_noise must be in [0, 1], got {self.spatial_white_noise}"

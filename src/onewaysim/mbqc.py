@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cluster import PreparationParams, cluster_statevector, prepare_cluster
+from .cluster import cluster_statevector
 from .measure import MeasurementBasis, RandomSource, _as_generator, basis_vectors
-from .noise import StorageNoiseParams, apply_storage
+from .noise import NoiseModel, noisy_cluster
 from .qcore import (
     HADAMARD,
     PAULI_X,
@@ -60,21 +60,6 @@ POSTSELECT_OUTCOME = 0
 
 
 @dataclass(frozen=True)
-class RotationNoise:
-    """Noise bundle for a rotation run: preparation imperfections plus
-    storage dephasing of the memory qubits for ``storage_time`` microseconds
-    (none when ``storage`` is None)."""
-
-    prep: PreparationParams
-    storage: Optional[StorageNoiseParams] = None
-    storage_time: float = 0.0
-
-    def __post_init__(self):
-        if self.storage_time < 0:
-            raise ValueError(f"storage_time must be >= 0, got {self.storage_time}")
-
-
-@dataclass(frozen=True)
 class RotationRequest:
     """One rotation-protocol run: angles, feedforward switch, shot budget."""
 
@@ -82,7 +67,7 @@ class RotationRequest:
     beta: float
     feedforward_enabled: bool = True
     shots: int = 0  # 0 = exact branch enumeration, >= 1 = sampled weights
-    noise: Optional[RotationNoise] = None
+    noise: NoiseModel = NoiseModel()
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
@@ -170,7 +155,9 @@ def _branches(values: np.ndarray, alpha: float, beta: float, feedforward: bool):
     if values.ndim == 2:
         mid = np.einsum("sa,abcd,sc->sbd", bras1, values.reshape(2, 4, 2, 4), bras1.conj())
         p2 = np.real(np.trace(mid, axis1=1, axis2=2))
-        mid = (mid / p2[:, None, None]).reshape(2, 2, 2, 2, 2)
+        # A branch with p2 = 0 stays zero, without a 0/0 warning; _rotate_lin3 drops it.
+        mid = np.divide(mid, p2[:, None, None], out=np.zeros_like(mid),
+                        where=p2[:, None, None] > 0).reshape(2, 2, 2, 2, 2)
         out = np.einsum("sta,sabcd,stc->stbd", bras2, mid, bras2.conj())
         return p2, np.real(np.trace(out, axis1=2, axis2=3)), out
     # A ket bra by bra as vector-matrix products, which round as one bra's do.
@@ -179,15 +166,6 @@ def _branches(values: np.ndarray, alpha: float, beta: float, feedforward: bool):
     mid = (mid / np.sqrt(p2)[:, None]).reshape(2, 1, 2, 2)
     out = (bras2[:, :, None, :] @ mid)[:, :, 0]
     return p2, np.real(out.conj()[..., None, :] @ out[..., None])[..., 0, 0], out
-
-
-def _cluster_for_request(req: RotationRequest) -> DensityMatrix:
-    if req.noise is None:
-        return prepare_cluster(PreparationParams())
-    rho = prepare_cluster(req.noise.prep)
-    if req.noise.storage is None:
-        return rho
-    return apply_storage(rho, req.noise.storage_time, req.noise.storage)
 
 
 def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> RotationResult:
@@ -199,7 +177,7 @@ def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> Ro
     reduces to empirical branch frequencies.  Branch probabilities then report
     the empirical frequencies.
     """
-    lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
+    lin3, _ = to_lin3(noisy_cluster(req.noise), POSTSELECT_OUTCOME)
     return _rotate_lin3(lin3, req, rng)
 
 
@@ -208,7 +186,7 @@ def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
     """The rotation protocol of ``req`` on an already reduced lin3 cluster."""
     p2, p3, out = _branches(lin3.entries, req.alpha, req.beta, req.feedforward_enabled)
     exact = p2[:, None] * p3
-    keys = [k for k in _BYPRODUCTS if exact[k] >= 1e-12]  # NaN from p2 = 0 fails too
+    keys = [k for k in _BYPRODUCTS if exact[k] >= 1e-12]
     weights = np.array([exact[k] for k in keys])
     if req.shots >= 1:
         gen = (rng or RandomSource(0)).generator()
@@ -242,7 +220,7 @@ def single_shot_trace(req: RotationRequest, rng) -> FeedforwardTrace:
     stream (a ``RandomSource`` or a numpy ``Generator`` to advance).
     """
     gen = _as_generator(rng)
-    lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
+    lin3, _ = to_lin3(noisy_cluster(req.noise), POSTSELECT_OUTCOME)
     ff = req.feedforward_enabled
     p2, p3, _ = _branches(lin3.entries, req.alpha, req.beta, ff)
     s2 = 0 if gen.random() < p2[0] / p2.sum() else 1
@@ -297,9 +275,9 @@ def sweep(mode: str, template: RotationRequest, noise_tag: Optional[str] = None,
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if noise_tag is None:
-        noise_tag = "noiseless" if template.noise is None else "noisy"
+        noise_tag = "noiseless" if template.noise == NoiseModel() else "noisy"
     count = int(round(2 * math.pi / SWEEP_STEP)) + 1
-    lin3, _ = to_lin3(_cluster_for_request(template), POSTSELECT_OUTCOME)
+    lin3, _ = to_lin3(noisy_cluster(template.noise), POSTSELECT_OUTCOME)
     rng = rng or RandomSource(0)
     points = []
     for i in range(count):

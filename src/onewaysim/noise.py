@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import PreparationParams, evaluate_witness, prepare_cluster
+from .cluster import IDEAL_PREP, PreparationParams, evaluate_witness, prepare_cluster
 from .qcore import DensityMatrix
 
 # Memory qubits (3, 4), the two low bits, on which basis states i and j differ.
@@ -102,6 +102,27 @@ def _dephase(rho: DensityMatrix, retention: float) -> DensityMatrix:
 def apply_storage(rho: DensityMatrix, t: float, params: StorageNoiseParams) -> DensityMatrix:
     """Memory qubits (3, 4) dephased independently by gamma(t) after ``t`` us of storage."""
     return _dephase(rho, coherence_retention(t, params))
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """The stored cluster's noise: preparation imperfections, then dephasing
+    of the memory qubits for ``storage_time`` microseconds (none when
+    ``storage`` is None)."""
+
+    prep: PreparationParams = IDEAL_PREP
+    storage: StorageNoiseParams | None = None
+    storage_time: float = 0.0
+
+    def __post_init__(self):
+        if self.storage_time < 0:
+            raise ValueError(f"storage_time must be >= 0, got {self.storage_time}")
+
+
+def noisy_cluster(model: NoiseModel) -> DensityMatrix:
+    """The cluster prepared with ``model.prep``, then stored if ``model`` has storage noise."""
+    rho = prepare_cluster(model.prep)
+    return rho if model.storage is None else apply_storage(rho, model.storage_time, model.storage)
 
 
 def lifetime_curve(times, prep: PreparationParams, noise: StorageNoiseParams) -> list:

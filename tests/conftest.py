@@ -13,11 +13,10 @@ from onewaysim.mbqc import (
     LIN3_ORDER,
     POSTSELECT_OUTCOME,
     FeedforwardTrace,
-    _cluster_for_request,
     to_lin3,
 )
 from onewaysim.measure import MeasurementBasis, _as_generator, basis_vectors, outcome_kets
-from onewaysim.noise import coherence_retention
+from onewaysim.noise import coherence_retention, noisy_cluster
 from onewaysim.qcore import (
     HADAMARD,
     DensityMatrix,
@@ -220,7 +219,7 @@ def sequential_shot_trace(req, rng):
     """One shot of the rotation protocol as two Born collapses of the whole
     register, drawn by ``measure_qubit`` from one shared stream."""
     gen = _as_generator(rng)
-    lin3, _ = to_lin3(_cluster_for_request(req), POSTSELECT_OUTCOME)
+    lin3, _ = to_lin3(noisy_cluster(req.noise), POSTSELECT_OUTCOME)
     s2, _, mid = measure_qubit(lin3, 1, MeasurementBasis.equatorial(req.alpha), gen)
     beta_eff = ((-1) ** s2) * req.beta if req.feedforward_enabled else req.beta
     s3 = measure_qubit(mid, 2, MeasurementBasis.equatorial(beta_eff), gen).outcome

@@ -21,13 +21,12 @@ from onewaysim.cluster import (
 )
 from onewaysim.measure import RandomSource, pauli_settings, sample_counts
 from onewaysim.mbqc import (
-    RotationNoise,
     RotationRequest,
     branch_verify,
     rotation_target,
     run_rotation,
 )
-from onewaysim.noise import calibrate, lifetime_curve
+from onewaysim.noise import NoiseModel, calibrate, lifetime_curve
 from onewaysim.qcore import (
     PAULI_X,
     PAULI_Z,
@@ -124,7 +123,7 @@ def test_criterion_5_quarter_rotation(calibrated):
             RotationRequest(
                 alpha=math.pi / 4,
                 beta=math.pi / 4,
-                noise=RotationNoise(calibrated.prep, calibrated.noise, 2.27),
+                noise=NoiseModel(calibrated.prep, calibrated.noise, 2.27),
             )
         )
         assert 0.80 <= noisy.fidelity <= 1.0

@@ -291,6 +291,11 @@ def test_stdout_when_no_out(capsys):
     ["witness", "--target-t1", "3", "--target-f1", "0.9"],
     ["lifetime", "--tau", "5", "--target-t2", "12"],
     ["rotate", "--noiseless", "--target-f2", "0.45"],
+    # An explicit storage time, even 0, needs a storage model.
+    ["rotate", "--storage-time", "0"],
+    # An imbalance whose square overflows is a config error, not an invariant violation.
+    ["witness", "--imbalance", "1e200"],
+    ["rotate", "--imbalance", "1e300"],
 ])
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -347,6 +352,53 @@ def test_calibrated_applies_modulation_flags(tmp_path):
     bound = json.loads(modulated.read_text())["bound"]
     assert bound == expected.fidelity_lower_bound
     assert bound != json.loads(plain.read_text())["bound"]
+
+
+def test_calibrated_storage_time_zero_is_the_prepared_cluster(tmp_path):
+    from onewaysim.cluster import evaluate_witness, prepare_cluster
+    from onewaysim.noise import apply_storage, calibrate
+
+    cal = calibrate()
+    code, out = run_cli(["witness", "--calibrated", "--storage-time", "0"], tmp_path, "0.json")
+    assert code == 0
+    bound = json.loads(out.read_text())["bound"]
+    assert bound == evaluate_witness(prepare_cluster(cal.prep)).fidelity_lower_bound
+    assert bound == pytest.approx(0.8097649477904053, abs=1e-12)
+    # Without --storage-time the calibrated model stores for --target-t1.
+    code, out = run_cli(["witness", "--calibrated"], tmp_path, "t1.json")
+    assert code == 0
+    stored = evaluate_witness(apply_storage(prepare_cluster(cal.prep), 2.27, cal.noise))
+    assert json.loads(out.read_text())["bound"] == stored.fidelity_lower_bound
+    assert stored.fidelity_lower_bound == pytest.approx(0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--seed", "3"], ["--seed"]),
+    (["--shots", "10"], ["--shots"]),
+    (["--imbalance", "0.3"], ["--imbalance"]),
+    (["--target-t1", "3", "--imbalance", "0.3"], ["--imbalance", "--target-t1"]),
+    (["--calibrated"], ["--calibrated"]),
+    (["--noiseless"], ["--ideal"]),
+    (["--tau", "3", "--storage-time", "0"], ["--tau", "--storage-time"]),
+])
+def test_budget_excludes_model_and_sampling_flags(flags, named, tmp_path, capsys):
+    assert main(["budget", *flags, "--out", str(tmp_path / "b.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget") and err.count("\n") == 1
+    assert all(flag in err for flag in named)
+
+
+def test_vanishing_branch_is_dropped_without_warning(tmp_path, capsys):
+    import warnings
+
+    # r^2 underflows, so two of the four branches have probability exactly 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["rotate", "--imbalance", "1e-170"], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    branches = json.loads(out.read_text())["branches"]
+    assert sum(b["probability"] for b in branches.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_largest_seed_accepted(tmp_path):

@@ -57,6 +57,17 @@ def test_params_reject_nonpositive_imbalance():
         PreparationParams(imbalance=0.0)
 
 
+@pytest.mark.parametrize("imbalance", [1e200, 1e300, float("inf"), float("nan")])
+def test_params_reject_imbalance_whose_square_overflows(imbalance):
+    with pytest.raises(ValueError):
+        PreparationParams(imbalance=imbalance)
+
+
+def test_params_accept_imbalance_whose_square_underflows():
+    rho = prepare_cluster(PreparationParams(imbalance=1e-170))
+    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+
+
 def test_params_reject_bad_white_noise():
     with pytest.raises(ValueError):
         PreparationParams(spatial_white_noise=1.5)

@@ -14,7 +14,6 @@ from onewaysim.cluster import (
 from onewaysim.measure import RandomSource
 from onewaysim.mbqc import (
     LIN3_ORDER,
-    RotationNoise,
     RotationRequest,
     _branches,
     branch_verify,
@@ -26,7 +25,7 @@ from onewaysim.mbqc import (
     sweep_to_csv_rows,
     to_lin3,
 )
-from onewaysim.noise import StorageNoiseParams, calibrate
+from onewaysim.noise import NoiseModel, StorageNoiseParams, calibrate
 from onewaysim.qcore import (
     PAULI_X,
     PAULI_Z,
@@ -51,7 +50,7 @@ from conftest import (
 @pytest.fixture(scope="module")
 def calibrated_noise():
     result = calibrate()
-    return RotationNoise(prep=result.prep, storage=result.noise, storage_time=2.27)
+    return NoiseModel(prep=result.prep, storage=result.noise, storage_time=2.27)
 
 
 def lin3_reference_vector():
@@ -257,8 +256,8 @@ def test_calibrated_quarter_rotation_in_band(calibrated_noise):
 
 @pytest.mark.parametrize("shots", [0, 1000])
 def test_noisy_rotation_validates_only_returned_states(shots, monkeypatch):
-    noise = RotationNoise(prep=PreparationParams(imbalance=0.446333, spatial_white_noise=0.066685),
-                          storage=StorageNoiseParams(tau=20.8212), storage_time=7.5)
+    noise = NoiseModel(prep=PreparationParams(imbalance=0.446333, spatial_white_noise=0.066685),
+                       storage=StorageNoiseParams(tau=20.8212), storage_time=7.5)
     request = RotationRequest(alpha=0.3, beta=1.1, shots=shots, noise=noise)
     calls, check = [], DensityMatrix.__post_init__  # each construction runs the full check
     monkeypatch.setattr(DensityMatrix, "__post_init__",
@@ -275,7 +274,7 @@ def test_rotation_request_validation():
     with pytest.raises(ValueError):
         RotationRequest(alpha=0.0, beta=0.0, shots=-1)
     with pytest.raises(ValueError):
-        RotationNoise(prep=IDEAL_PREP, storage=StorageNoiseParams(tau=1.0), storage_time=-1.0)
+        NoiseModel(prep=IDEAL_PREP, storage=StorageNoiseParams(tau=1.0), storage_time=-1.0)
 
 
 # -------------------------------------------------------------- branch oracle
@@ -351,11 +350,11 @@ def test_single_shot_trace_without_feedforward():
     RotationRequest(alpha=1.3, beta=0.8),
     RotationRequest(alpha=1.3, beta=0.8, feedforward_enabled=False),
     RotationRequest(alpha=0.7, beta=1.9,
-                    noise=RotationNoise(PreparationParams(imbalance=1e-3))),
-    RotationRequest(alpha=2.1, beta=-0.6, noise=RotationNoise(
+                    noise=NoiseModel(PreparationParams(imbalance=1e-3))),
+    RotationRequest(alpha=2.1, beta=-0.6, noise=NoiseModel(
         PreparationParams(theta=0.9, imbalance=1e3, spatial_white_noise=0.1),
         StorageNoiseParams(tau=20.0), storage_time=7.5)),
-    RotationRequest(alpha=0.4, beta=2.8, feedforward_enabled=False, noise=RotationNoise(
+    RotationRequest(alpha=0.4, beta=2.8, feedforward_enabled=False, noise=NoiseModel(
         PreparationParams(imbalance=0.3), StorageNoiseParams(tau=5.0), storage_time=3.0)),
 ], ids=["ideal", "ideal-no-ff", "imbalance-1e-3", "imbalance-1e3-storage",
         "storage-no-ff"])
@@ -374,7 +373,7 @@ def test_single_shot_frequencies_match_exact_branches(feedforward):
     # An imbalanced source makes the branch weights unequal (about 0.43 and 0.07).
     prep = PreparationParams(theta=0.9, imbalance=0.3, spatial_white_noise=0.1)
     req = RotationRequest(alpha=0.7, beta=1.9, feedforward_enabled=feedforward,
-                          noise=RotationNoise(prep))
+                          noise=NoiseModel(prep))
     shots = 2000
     counts = {}
     for seed in range(shots):
@@ -396,6 +395,30 @@ def test_noiseless_rx_sweep_all_ones():
     assert points[-1].angle_rad == pytest.approx(2 * math.pi)
 
 
+def test_sweep_tags_the_default_model_noiseless():
+    assert sweep("rz", RotationRequest(alpha=0.0, beta=0.0))[0].noise_tag == "noiseless"
+    assert sweep("rz", RotationRequest(alpha=0.0, beta=0.0, noise=NoiseModel(IDEAL_PREP))
+                 )[0].noise_tag == "noiseless"
+    stored = NoiseModel(storage=StorageNoiseParams(tau=20.0))
+    assert sweep("rz", RotationRequest(alpha=0.0, beta=0.0, noise=stored))[0].noise_tag == "noisy"
+
+
+@pytest.mark.parametrize("feedforward", [True, False])
+def test_zero_probability_branch_dropped_without_warning(feedforward):
+    import warnings
+
+    # r^2 underflows to 0, so at alpha = 0 outcome s2 = 1 has probability exactly 0.
+    req = RotationRequest(alpha=0.0, beta=1.9, feedforward_enabled=feedforward,
+                          noise=NoiseModel(PreparationParams(imbalance=1e-170)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_rotation(req)
+        traces = [single_shot_trace(req, RandomSource(seed)) for seed in range(20)]
+    assert set(result.branch_outputs) == {(0, 0), (0, 1)}
+    assert all(t.s2 == 0 for t in traces)
+    assert sum(b.probability for b in result.branch_outputs.values()) == pytest.approx(1.0)
+
+
 def test_calibrated_sweep_ordering(calibrated_noise):
     template = RotationRequest(alpha=0.0, beta=0.0, noise=calibrated_noise)
     rx = sweep("rx", template, noise_tag="calibrated")
@@ -413,8 +436,8 @@ def test_sampled_sweep_draws_each_point_from_its_own_stream():
 
 @pytest.mark.parametrize("mode", ["rx", "rz"])
 def test_sweep_points_equal_single_rotations(mode):
-    noise = RotationNoise(PreparationParams(imbalance=0.5, spatial_white_noise=0.07),
-                          StorageNoiseParams(tau=20.0), storage_time=4.0)
+    noise = NoiseModel(PreparationParams(imbalance=0.5, spatial_white_noise=0.07),
+                       StorageNoiseParams(tau=20.0), storage_time=4.0)
     template = RotationRequest(alpha=0.0, beta=0.0, shots=50, noise=noise,
                                feedforward_enabled=mode == "rx")
     rng = RandomSource(11)

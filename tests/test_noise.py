@@ -9,6 +9,7 @@ from onewaysim.cluster import IDEAL_PREP, PreparationParams, evaluate_witness, p
 from onewaysim.noise import (
     DEFAULT_CALIBRATION_TARGETS,
     CalibrationError,
+    NoiseModel,
     _bound_knots,
     _dephase,
     _solve_retention,
@@ -17,6 +18,7 @@ from onewaysim.noise import (
     calibrate,
     coherence_retention,
     lifetime_curve,
+    noisy_cluster,
 )
 from onewaysim.qcore import DensityMatrix, apply_channel, density, maximally_mixed, partial_trace
 
@@ -42,6 +44,19 @@ def test_zero_time_is_identity_channel():
     rho = prepare_cluster(PreparationParams(imbalance=0.7))
     out = apply_storage(rho, 0.0, params)
     assert np.abs(out.entries - rho.entries).max() < 1e-12
+
+
+def test_noisy_cluster_prepares_then_stores():
+    prep, params = PreparationParams(imbalance=0.7), StorageNoiseParams(tau=10.0)
+    rho = prepare_cluster(prep)
+    assert np.array_equal(noisy_cluster(NoiseModel()).entries, prepare_cluster(IDEAL_PREP).entries)
+    assert np.array_equal(noisy_cluster(NoiseModel(prep, storage_time=5.0)).entries, rho.entries)
+    stored = noisy_cluster(NoiseModel(prep, params, 5.0))
+    assert np.array_equal(stored.entries, apply_storage(rho, 5.0, params).entries)
+    # At t = 0 the storage mask is exactly ones.
+    assert np.array_equal(noisy_cluster(NoiseModel(prep, params)).entries, rho.entries)
+    with pytest.raises(ValueError):
+        NoiseModel(prep, params, storage_time=-1.0)
 
 
 def test_long_time_limit_fully_dephases():
