@@ -12,11 +12,11 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -464,6 +464,49 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# float.__repr__ of the values JSON spells differently.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _render_json(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _render_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, by the same rules in the
+    same order, without the pure-Python encoder that ``indent`` makes json use."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_render_json(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [encode_basestring_ascii(_json_key(k)) + ": " + _render_json(v, inner)
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def render_artifact(payload, fmt: str) -> str:
     """Serialize a scenario result: dict or (header, rows) table."""
     is_table = isinstance(payload, tuple)
@@ -471,7 +514,7 @@ def render_artifact(payload, fmt: str) -> str:
         if is_table:
             header, rows = payload
             payload = [dict(zip(header, row)) for row in rows]
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _render_json(payload) + "\n"
     if is_table:
         header, rows = payload
         lines = [",".join(header)]
@@ -536,6 +579,9 @@ def run(config: ScenarioConfig) -> int:
     runner = _RUNNERS.get(config.scenario)
     if runner is None:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
+    if config.scenario != "tomography":
+        _exclude(config, ("tables_in", "tables_out"),
+                 f"{{}}: count tables belong to tomography, not {config.scenario}")
     if config.verify:
         verify_invariants(config.scenario)
     payload = runner(config)

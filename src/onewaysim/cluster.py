@@ -107,8 +107,14 @@ def prepare_hyper(params: PreparationParams) -> DensityMatrix:
     return DensityMatrix(4, _hyper_entries(params))
 
 
+@lru_cache(maxsize=16)
 def prepare_cluster(params: PreparationParams) -> DensityMatrix:
-    """Cluster state: prepare_hyper followed by the conditional phase on (1, 2)."""
+    """Cluster state: prepare_hyper followed by the conditional phase on (1, 2).
+
+    Cached per process on the frozen ``params``; the returned state is shared
+    and read-only.  Parameters of -0.0 and 0.0 are one key, and prepare the
+    same bits.
+    """
     return DensityMatrix(4, _hyper_entries(params) * _PHASE_MASK)
 
 

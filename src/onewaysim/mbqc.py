@@ -23,7 +23,7 @@ import numpy as np
 
 from .cluster import cluster_statevector
 from .measure import MeasurementBasis, RandomSource, _as_generator, basis_vectors
-from .noise import NoiseModel, noisy_cluster
+from .noise import NoiseModel, _noisy_entries
 from .qcore import (
     HADAMARD,
     PAULI_X,
@@ -32,11 +32,11 @@ from .qcore import (
     StateVector,
     _embed_matrix,
     _permute_tensor,
+    _rotation_matrix,
     fidelity,
     phase_aligned_distance,
     plus_ket,
     rho_to_entry_list,
-    rotation_gate,
 )
 
 # Register order used by the reduction: new qubit i is old qubit LIN3_ORDER[i-1].
@@ -53,6 +53,8 @@ _LIN3_MAPS = tuple(_OUTER_HADAMARDS[8 * o:8 * o + 8][:, np.argsort(_LIN3_INDEX)]
 _BYPRODUCTS = {(s2, s3): np.linalg.matrix_power(PAULI_X.entries, s3)
                @ np.linalg.matrix_power(PAULI_Z.entries, s2)
                for s2 in (0, 1) for s3 in (0, 1)}
+
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 #: Postselection outcome for the removed qubit.  Outcome 1 yields the same
 #: protocol after a known local Z on the first remaining qubit (see tests).
@@ -123,21 +125,26 @@ def to_lin3(cluster, postselect_outcome: int = POSTSELECT_OUTCOME):
         raise ValueError("lin3 reduction starts from a 4-qubit state")
     if postselect_outcome not in (0, 1):
         raise ValueError(f"postselect outcome must be 0 or 1, got {postselect_outcome}")
-    k = _LIN3_MAPS[postselect_outcome]
     pure = isinstance(cluster, StateVector)
-    out = k @ cluster.amplitudes if pure else k @ cluster.entries @ k.conj().T
+    out, prob = _lin3(cluster.amplitudes if pure else cluster.entries, postselect_outcome)
+    return (StateVector if pure else DensityMatrix)(3, out), prob
+
+
+def _lin3(values: np.ndarray, postselect_outcome: int = POSTSELECT_OUTCOME):
+    """The unvalidated ``to_lin3`` of a 4-qubit ket or density-matrix array."""
+    k = _LIN3_MAPS[postselect_outcome]
+    pure = values.ndim == 1
+    out = k @ values if pure else k @ values @ k.conj().T
     prob = float(np.real(np.vdot(out, out) if pure else np.trace(out)))
     if prob < 1e-12:
         raise ValueError("postselection has zero probability")
-    if pure:
-        return StateVector(3, out / math.sqrt(prob)), prob
-    return DensityMatrix(3, out / prob), prob
+    return out / (math.sqrt(prob) if pure else prob), prob
 
 
 def rotation_target(alpha: float, beta: float) -> StateVector:
     """Ideal output R_x(-beta) R_z(-alpha) |+>."""
-    out = rotation_gate("z", -alpha).entries @ plus_ket().amplitudes
-    return StateVector(1, rotation_gate("x", -beta).entries @ out)
+    out = _rotation_matrix("z", -alpha) @ plus_ket().amplitudes
+    return StateVector(1, _rotation_matrix("x", -beta) @ out)
 
 
 def _branches(values: np.ndarray, alpha: float, beta: float, feedforward: bool):
@@ -156,8 +163,9 @@ def _branches(values: np.ndarray, alpha: float, beta: float, feedforward: bool):
         mid = np.einsum("sa,abcd,sc->sbd", bras1, values.reshape(2, 4, 2, 4), bras1.conj())
         p2 = np.real(np.trace(mid, axis1=1, axis2=2))
         # A branch with p2 = 0 stays zero, without a 0/0 warning; _rotate_lin3 drops it.
+        # So does a subnormal p2: complex division takes 1 / p2 first, which overflows.
         mid = np.divide(mid, p2[:, None, None], out=np.zeros_like(mid),
-                        where=p2[:, None, None] > 0).reshape(2, 2, 2, 2, 2)
+                        where=p2[:, None, None] >= _SMALLEST_NORMAL).reshape(2, 2, 2, 2, 2)
         out = np.einsum("sta,sabcd,stc->stbd", bras2, mid, bras2.conj())
         return p2, np.real(np.trace(out, axis1=2, axis2=3)), out
     # A ket bra by bra as vector-matrix products, which round as one bra's do.
@@ -177,14 +185,14 @@ def run_rotation(req: RotationRequest, rng: Optional[RandomSource] = None) -> Ro
     reduces to empirical branch frequencies.  Branch probabilities then report
     the empirical frequencies.
     """
-    lin3, _ = to_lin3(noisy_cluster(req.noise), POSTSELECT_OUTCOME)
+    lin3, _ = _lin3(_noisy_entries(req.noise))
     return _rotate_lin3(lin3, req, rng)
 
 
-def _rotate_lin3(lin3: DensityMatrix, req: RotationRequest,
+def _rotate_lin3(lin3: np.ndarray, req: RotationRequest,
                  rng: Optional[RandomSource]) -> RotationResult:
-    """The rotation protocol of ``req`` on an already reduced lin3 cluster."""
-    p2, p3, out = _branches(lin3.entries, req.alpha, req.beta, req.feedforward_enabled)
+    """The rotation protocol of ``req`` on an already reduced lin3 density-matrix array."""
+    p2, p3, out = _branches(lin3, req.alpha, req.beta, req.feedforward_enabled)
     exact = p2[:, None] * p3
     keys = [k for k in _BYPRODUCTS if exact[k] >= 1e-12]
     weights = np.array([exact[k] for k in keys])
@@ -220,9 +228,9 @@ def single_shot_trace(req: RotationRequest, rng) -> FeedforwardTrace:
     stream (a ``RandomSource`` or a numpy ``Generator`` to advance).
     """
     gen = _as_generator(rng)
-    lin3, _ = to_lin3(noisy_cluster(req.noise), POSTSELECT_OUTCOME)
+    lin3, _ = _lin3(_noisy_entries(req.noise))
     ff = req.feedforward_enabled
-    p2, p3, _ = _branches(lin3.entries, req.alpha, req.beta, ff)
+    p2, p3, _ = _branches(lin3, req.alpha, req.beta, ff)
     s2 = 0 if gen.random() < p2[0] / p2.sum() else 1
     s3 = 0 if gen.random() < p3[s2, 0] / p3[s2].sum() else 1
     beta_eff = ((-1) ** s2) * req.beta if ff else req.beta
@@ -277,7 +285,7 @@ def sweep(mode: str, template: RotationRequest, noise_tag: Optional[str] = None,
     if noise_tag is None:
         noise_tag = "noiseless" if template.noise == NoiseModel() else "noisy"
     count = int(round(2 * math.pi / SWEEP_STEP)) + 1
-    lin3, _ = to_lin3(noisy_cluster(template.noise), POSTSELECT_OUTCOME)
+    lin3, _ = _lin3(_noisy_entries(template.noise))
     rng = rng or RandomSource(0)
     points = []
     for i in range(count):

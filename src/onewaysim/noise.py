@@ -94,14 +94,14 @@ def coherence_retention(t: float, params: StorageNoiseParams) -> float:
     return min(max(g, 0.0), 1.0)
 
 
-def _dephase(rho: DensityMatrix, retention: float) -> DensityMatrix:
-    """Both memory qubits of the cluster dephased with ``retention``, by one mask."""
-    return DensityMatrix(4, rho.entries * np.power(retention, _FLIPS))
+def _dephase(entries: np.ndarray, retention: float) -> np.ndarray:
+    """Both memory qubits of the cluster's ``entries`` dephased with ``retention``, by one mask."""
+    return entries * np.power(retention, _FLIPS)
 
 
 def apply_storage(rho: DensityMatrix, t: float, params: StorageNoiseParams) -> DensityMatrix:
     """Memory qubits (3, 4) dephased independently by gamma(t) after ``t`` us of storage."""
-    return _dephase(rho, coherence_retention(t, params))
+    return DensityMatrix(4, _dephase(rho.entries, coherence_retention(t, params)))
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,17 @@ class NoiseModel:
             raise ValueError(f"storage_time must be >= 0, got {self.storage_time}")
 
 
+def _noisy_entries(model: NoiseModel) -> np.ndarray:
+    """The unvalidated array of ``noisy_cluster(model)``."""
+    rho = prepare_cluster(model.prep).entries
+    if model.storage is None:
+        return rho
+    return _dephase(rho, coherence_retention(model.storage_time, model.storage))
+
+
 def noisy_cluster(model: NoiseModel) -> DensityMatrix:
     """The cluster prepared with ``model.prep``, then stored if ``model`` has storage noise."""
-    rho = prepare_cluster(model.prep)
-    return rho if model.storage is None else apply_storage(rho, model.storage_time, model.storage)
+    return DensityMatrix(4, _noisy_entries(model))
 
 
 def lifetime_curve(times, prep: PreparationParams, noise: StorageNoiseParams) -> list:
@@ -136,7 +143,7 @@ def lifetime_curve(times, prep: PreparationParams, noise: StorageNoiseParams) ->
     rho0 = prepare_cluster(prep)
     points = []
     for t in times:
-        rho = _dephase(rho0, coherence_retention(t, noise))
+        rho = DensityMatrix(4, _dephase(rho0.entries, coherence_retention(t, noise)))
         points.append(LifetimePoint(t, evaluate_witness(rho).fidelity_lower_bound))
     return points
 
@@ -196,8 +203,8 @@ _EDGE_RETENTION = 2.0**-43
 
 def _bound_knots(rho0: DensityMatrix) -> tuple:
     """Witness bound at retentions 0, 1/2 and 1; the quadratic through them is exact."""
-    return tuple(evaluate_witness(_dephase(rho0, g)).fidelity_lower_bound
-                 for g in (0.0, 0.5, 1.0))
+    return tuple(evaluate_witness(DensityMatrix(4, _dephase(rho0.entries, g)))
+                 .fidelity_lower_bound for g in (0.0, 0.5, 1.0))
 
 
 def _solve_retention(knots: tuple, target: float):

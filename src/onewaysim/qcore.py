@@ -296,23 +296,26 @@ def expectation(rho: State, obs: ObservableOperator) -> float:
     return float(val.real)
 
 
-def rotation_gate(axis: str, angle: float) -> UnitaryOperator:
-    """Single-qubit rotation exp(-i * angle * sigma_axis / 2) for axis "x" or "z"."""
+def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
+    """The 2x2 array of ``rotation_gate(axis, angle)``, without the unitarity check."""
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
     half = angle / 2.0
     if axis == "x":
-        m = np.array(
+        return np.array(
             [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]],
             dtype=np.complex128,
         )
-    elif axis == "z":
-        m = np.array(
+    if axis == "z":
+        return np.array(
             [[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=np.complex128
         )
-    else:
-        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
-    return UnitaryOperator(1, m)
+    raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
+
+
+def rotation_gate(axis: str, angle: float) -> UnitaryOperator:
+    """Single-qubit rotation exp(-i * angle * sigma_axis / 2) for axis "x" or "z"."""
+    return UnitaryOperator(1, _rotation_matrix(axis, angle))
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:

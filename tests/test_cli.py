@@ -3,11 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onewaysim.cli import main, parse_angle, ConfigError
+from onewaysim.cli import _render_json, main, parse_angle, render_artifact, ConfigError
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -391,14 +392,20 @@ def test_budget_excludes_model_and_sampling_flags(flags, named, tmp_path, capsys
 def test_vanishing_branch_is_dropped_without_warning(tmp_path, capsys):
     import warnings
 
-    # r^2 underflows, so two of the four branches have probability exactly 0.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run_cli(["rotate", "--imbalance", "1e-170"], tmp_path)
-    assert code == 0
-    assert capsys.readouterr().err == ""
-    branches = json.loads(out.read_text())["branches"]
-    assert sum(b["probability"] for b in branches.values()) == pytest.approx(1.0, abs=1e-12)
+    # Two of the four branches have probability r^2: exactly 0 once it
+    # underflows (1e-170), subnormal but positive for 1e-160 and 1e-155.
+    for imbalance in ("1e-170", "1e-160", "1e-155"):
+        for shots in ("0", "100"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out = run_cli(["rotate", "--imbalance", imbalance, "--shots", shots],
+                                    tmp_path)
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            branches = json.loads(out.read_text())["branches"]
+            assert set(branches) == {"00", "01"}
+            total = sum(b["probability"] for b in branches.values())
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_largest_seed_accepted(tmp_path):
@@ -557,6 +564,18 @@ def test_shots_per_setting_is_common_value_or_null(shots_x, expected, x_last, tm
     assert json.loads(out.read_text())["shots_per_setting"] == expected
 
 
+@pytest.mark.parametrize("scenario", [["witness"], ["lifetime", "--tau", "5"], ["rotate"],
+                                      ["sweep"], ["budget"]],
+                         ids=["witness", "lifetime", "rotate", "sweep", "budget"])
+@pytest.mark.parametrize("flag", ["--tables-out", "--tables-in"])
+def test_tables_flags_outside_tomography_exit_2(scenario, flag, tmp_path, capsys):
+    tables = tmp_path / "t.jsonl"
+    assert main([*scenario, flag, str(tables), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+    assert not tables.exists()
+
+
 @pytest.mark.parametrize("flag", ["--config", "--noise-file", "--tables-in"])
 def test_undecodable_input_file_exit_2(flag, tmp_path):
     path = tmp_path / "binary"
@@ -712,3 +731,45 @@ def test_parse_args_fuzz(argv, entries, extra):
     assert isinstance(config, ScenarioConfig)
     assert all(math.isfinite(v) for v in vars(config).values() if isinstance(v, float))
     assert 0 <= config.seed < 2**64
+
+
+# ------------------------------------------------------------ JSON rendering
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200)
+    | st.floats() | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+    | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é✓\U0001F600", ""])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers() | st.booleans(), children)
+                      | st.dictionaries(st.floats(), children)
+                      | st.dictionaries(st.none(), children)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_render_json_equals_json_dumps(value):
+    assert _render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [{}, {"b": [], "a": {}}, {"x": (1, [2.5, None])}])
+def test_render_artifact_json_is_json_dumps(payload):
+    assert render_artifact(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), {"a": [np.bool_(True)]}, (1j,), {"k": {1, 2}}, [b"x"], object(),
+    {("t",): 1}, {"a": 1, 2: 3}, {None: 1, True: 2},
+])
+def test_render_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _render_json(value)
+    assert str(got.value) == str(expected.value)

@@ -134,6 +134,25 @@ def test_cluster_statevector_matches_composed_oracle(theta, imbalance):
                   - oracle.amplitudes).max() <= 1e-12
 
 
+def test_prepare_cluster_is_cached_per_params():
+    params = PreparationParams(theta=0.3, imbalance=0.7, spatial_white_noise=0.1)
+    rho = prepare_cluster(params)
+    assert prepare_cluster(PreparationParams(theta=0.3, imbalance=0.7,
+                                             spatial_white_noise=0.1)) is rho
+    assert not rho.entries.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(imbalance=_PREP_PARAMS["imbalance"], theta_sign=st.booleans(), noise_sign=st.booleans())
+def test_negative_zero_params_prepare_the_same_bits(imbalance, theta_sign, noise_sign):
+    # -0.0 and 0.0 compare and hash equal, so the cache hands one cluster to both.
+    prepare = prepare_cluster.__wrapped__
+    zero = prepare(PreparationParams(imbalance=imbalance)).entries
+    signed = prepare(PreparationParams(theta=-0.0 if theta_sign else 0.0, imbalance=imbalance,
+                                       spatial_white_noise=-0.0 if noise_sign else 0.0)).entries
+    assert np.array_equal(signed.view(np.uint64), zero.view(np.uint64))
+
+
 def test_prepare_cluster_ideal_fidelity_one():
     assert fidelity(prepare_cluster(IDEAL_PREP), cluster_statevector()) == pytest.approx(1.0)
 

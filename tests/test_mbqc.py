@@ -16,6 +16,7 @@ from onewaysim.mbqc import (
     LIN3_ORDER,
     RotationRequest,
     _branches,
+    _rotate_lin3,
     branch_verify,
     result_to_json_dict,
     rotation_target,
@@ -25,7 +26,7 @@ from onewaysim.mbqc import (
     sweep_to_csv_rows,
     to_lin3,
 )
-from onewaysim.noise import NoiseModel, StorageNoiseParams, calibrate
+from onewaysim.noise import NoiseModel, StorageNoiseParams, apply_storage, calibrate, noisy_cluster
 from onewaysim.qcore import (
     PAULI_X,
     PAULI_Z,
@@ -35,6 +36,8 @@ from onewaysim.qcore import (
     density,
     fidelity,
     maximally_mixed,
+    plus_ket,
+    rotation_gate,
 )
 from conftest import (
     aligned_distance,
@@ -268,6 +271,37 @@ def test_noisy_rotation_validates_only_returned_states(shots, monkeypatch):
     assert all(isinstance(b.state, DensityMatrix) for b in result.branch_outputs.values())
 
 
+_ROTATION_MODELS = {
+    "ideal": NoiseModel(),
+    "explicit": NoiseModel(PreparationParams(theta=0.2, imbalance=0.6, spatial_white_noise=0.1)),
+    "stored": NoiseModel(PreparationParams(imbalance=0.446333, spatial_white_noise=0.066685),
+                         StorageNoiseParams(tau=20.8212), storage_time=7.5),
+}
+
+
+@pytest.mark.parametrize("model", _ROTATION_MODELS.values(), ids=_ROTATION_MODELS.keys())
+@pytest.mark.parametrize("feedforward", [True, False])
+@pytest.mark.parametrize("shots", [0, 1, 1000])
+def test_rotation_equals_the_validated_lin3_path(model, feedforward, shots):
+    req = RotationRequest(alpha=0.7, beta=-1.3, feedforward_enabled=feedforward, shots=shots,
+                          noise=model)
+    stored = prepare_cluster(model.prep)
+    if model.storage is not None:
+        stored = apply_storage(stored, model.storage_time, model.storage)
+    assert np.array_equal(stored.entries, noisy_cluster(model).entries)
+    expected = _rotate_lin3(to_lin3(stored)[0].entries, req, RandomSource(4))
+    result = run_rotation(req, RandomSource(4))
+    assert result.branch_outputs.keys() == expected.branch_outputs.keys()
+    for key, branch in result.branch_outputs.items():
+        assert branch.probability == expected.branch_outputs[key].probability
+        assert np.array_equal(branch.state.entries, expected.branch_outputs[key].state.entries)
+    assert np.array_equal(result.corrected_output.entries, expected.corrected_output.entries)
+    assert np.array_equal(result.target.amplitudes,
+                          rotation_gate("x", 1.3).entries
+                          @ (rotation_gate("z", -0.7).entries @ plus_ket().amplitudes))
+    assert result.fidelity == expected.fidelity
+
+
 def test_rotation_request_validation():
     with pytest.raises(ValueError):
         RotationRequest(alpha=float("nan"), beta=0.0)
@@ -407,16 +441,21 @@ def test_sweep_tags_the_default_model_noiseless():
 def test_zero_probability_branch_dropped_without_warning(feedforward):
     import warnings
 
-    # r^2 underflows to 0, so at alpha = 0 outcome s2 = 1 has probability exactly 0.
-    req = RotationRequest(alpha=0.0, beta=1.9, feedforward_enabled=feedforward,
-                          noise=NoiseModel(PreparationParams(imbalance=1e-170)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = run_rotation(req)
-        traces = [single_shot_trace(req, RandomSource(seed)) for seed in range(20)]
-    assert set(result.branch_outputs) == {(0, 0), (0, 1)}
-    assert all(t.s2 == 0 for t in traces)
-    assert sum(b.probability for b in result.branch_outputs.values()) == pytest.approx(1.0)
+    # At alpha = 0 outcome s2 = 1 has probability r^2: exactly 0 once r^2
+    # underflows (1e-170), subnormal but positive for 1e-160 and 1e-155.
+    for imbalance in (1e-170, 1e-160, 1e-155):
+        for shots in (0, 100):
+            req = RotationRequest(alpha=0.0, beta=1.9, feedforward_enabled=feedforward,
+                                  shots=shots,
+                                  noise=NoiseModel(PreparationParams(imbalance=imbalance)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run_rotation(req, RandomSource(1))
+                traces = [single_shot_trace(req, RandomSource(seed)) for seed in range(20)]
+            assert set(result.branch_outputs) == {(0, 0), (0, 1)}
+            assert all(t.s2 == 0 for t in traces)
+            total = sum(b.probability for b in result.branch_outputs.values())
+            assert total == pytest.approx(1.0)
 
 
 def test_calibrated_sweep_ordering(calibrated_noise):

@@ -146,7 +146,7 @@ def test_storage_mask_matches_kraus_oracle(seed, rank, retention):
     rho = a @ a.conj().T
     rho = DensityMatrix(4, rho / np.trace(rho).real)
     expected = apply_channel(rho, pair_dephasing_channel(retention), (3, 4))
-    assert np.abs(_dephase(rho, retention).entries - expected.entries).max() <= 1e-12
+    assert np.abs(_dephase(rho.entries, retention) - expected.entries).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
